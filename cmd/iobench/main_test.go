@@ -3,10 +3,10 @@ package main
 import "testing"
 
 func TestRunValidation(t *testing.T) {
-	if err := run("nosuch", "modes", "M_ASYNC", 8, 65536, 1<<20, 1, 1); err == nil {
+	if err := run("nosuch", "modes", "M_ASYNC", 8, 65536, 1<<20, 1); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
-	err := run("strided-reload", "nosuch", "M_ASYNC", 8, 65536, 1<<20, 1, 1)
+	err := run("strided-reload", "nosuch", "M_ASYNC", 8, 65536, 1<<20, 1)
 	if err == nil {
 		t.Fatal("unknown sweep accepted")
 	}
@@ -16,13 +16,13 @@ func TestRunValidation(t *testing.T) {
 	if err.Error() != want {
 		t.Fatalf("unknown-sweep error = %q, want %q", err, want)
 	}
-	if err := run("strided-reload", "modes", "M_BOGUS", 8, 65536, 1<<20, 1, 1); err == nil {
+	if err := run("strided-reload", "modes", "M_BOGUS", 8, 65536, 1<<20, 1); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
 func TestRunSmallSweep(t *testing.T) {
-	if err := run("staging-write", "ionodes", "M_ASYNC", 8, 65536, 1<<20, 1, 1); err != nil {
+	if err := run("staging-write", "ionodes", "M_ASYNC", 8, 65536, 1<<20, 1); err != nil {
 		t.Fatal(err)
 	}
 }

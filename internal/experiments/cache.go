@@ -44,8 +44,7 @@ func cacheVariants() []cacheVariant {
 	}
 }
 
-// cachedCfg is the suite configuration (seed, shards) plus one cache
-// variant — cached runs honor the -shards knob like every other run.
+// cachedCfg is the suite configuration plus one cache variant.
 func (s *Suite) cachedCfg(v cacheVariant) core.Config {
 	cfg := s.cfg()
 	cfg.Tiers.IONode = v.cfg

@@ -35,7 +35,6 @@ func faultsPrismWorkload(s *Suite) iobench.Params {
 		Compute: 500 * time.Millisecond,
 		IONodes: 4,
 		Seed:    s.Seed,
-		Shards:  s.Shards,
 	}
 }
 
@@ -52,7 +51,6 @@ func faultsEscatWorkload(s *Suite) iobench.Params {
 		Compute: 500 * time.Millisecond,
 		IONodes: 4,
 		Seed:    s.Seed,
-		Shards:  s.Shards,
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // same run hash equal: literally identical configs, and equal-valued
 // configs behind distinct pointers.
 func TestConfigKeySemanticEquality(t *testing.T) {
-	base := core.Config{Seed: 1, Shards: 4, Window: 7 * time.Microsecond}
+	base := core.Config{Seed: 1}
 	if ConfigKey(base, "eth/C") != ConfigKey(base, "eth/C") {
 		t.Fatal("identical configs hash differently")
 	}
@@ -47,8 +47,6 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 	}{
 		{"seed", core.Config{Seed: 2}, "eth/C"},
 		{"nodes", core.Config{Seed: 1, Nodes: 128}, "eth/C"},
-		{"shards", core.Config{Seed: 1, Shards: 8}, "eth/C"},
-		{"window", core.Config{Seed: 1, Window: 7 * time.Microsecond}, "eth/C"},
 		{"ionodes", core.Config{Seed: 1, IONodes: 32}, "eth/C"},
 		{"stripe", core.Config{Seed: 1, StripeUnit: 128 << 10}, "eth/C"},
 		{"sample", core.Config{Seed: 1, SampleInterval: time.Second}, "eth/C"},

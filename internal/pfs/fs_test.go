@@ -106,8 +106,8 @@ func TestCreateFileAndNamespace(t *testing.T) {
 	r := newRig(t)
 	r.fs.CreateFile("input", 1<<20)
 	r.fs.CreateFile("input", 100) // shrink attempt: no-op
-	if !r.fs.Exists("input") || r.fs.Exists("other") {
-		t.Fatal("Exists wrong")
+	if names := r.fs.FileNames(); len(names) != 1 || names[0] != "input" {
+		t.Fatalf("FileNames = %v, want [input]", names)
 	}
 	if r.fs.FileSize("input") != 1<<20 {
 		t.Fatalf("FileSize = %d", r.fs.FileSize("input"))

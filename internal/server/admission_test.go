@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,42 +11,29 @@ import (
 
 func TestAdmitterImmediateAndRelease(t *testing.T) {
 	a := NewAdmitter(4, 2)
-	rel1, err := a.Acquire(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
+	var rels []func()
+	for i := 0; i < 4; i++ {
+		rel, err := a.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
 	}
-	rel2, err := a.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
+	if a.Free() != 0 {
+		t.Fatalf("Free() = %d with every slot held, want 0", a.Free())
 	}
-	rel1()
-	rel1() // release is idempotent
-	rel2()
-	if rel, err := a.Acquire(context.Background(), 4); err != nil {
-		t.Fatalf("full pool not reusable after release: %v", err)
-	} else {
+	rels[0]() // release is idempotent
+	for _, rel := range rels {
 		rel()
 	}
-}
-
-func TestAdmitterCostClamp(t *testing.T) {
-	a := NewAdmitter(4, 0)
-	if a.Cost(0) != 1 || a.Cost(-3) != 1 {
-		t.Error("sub-slot costs must clamp to 1")
+	if a.Free() != 4 {
+		t.Fatalf("Free() = %d after releasing every slot, want 4", a.Free())
 	}
-	if a.Cost(64) != 4 {
-		t.Error("cost beyond pool must clamp to the pool size")
-	}
-	rel, err := a.Acquire(context.Background(), 64) // wants more than the pool has
-	if err != nil {
-		t.Fatalf("clamped acquire failed: %v", err)
-	}
-	rel()
 }
 
 func TestAdmitterQueueOverflow(t *testing.T) {
 	a := NewAdmitter(1, 1)
-	rel, err := a.Acquire(context.Background(), 1)
+	rel, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +41,7 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r, err := a.Acquire(context.Background(), 1)
+		r, err := a.Acquire(context.Background())
 		if err != nil {
 			t.Errorf("queued acquire failed: %v", err)
 			return
@@ -71,7 +59,7 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// …the second overflows.
-	if _, err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrQueueFull) {
+	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow acquire = %v, want ErrQueueFull", err)
 	}
 	rel()
@@ -80,14 +68,14 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 
 func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 	a := NewAdmitter(1, 4)
-	rel, err := a.Acquire(context.Background(), 1)
+	rel, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, 1)
+		_, err := a.Acquire(ctx)
 		errc <- err
 	}()
 	for i := 0; ; i++ {
@@ -106,62 +94,63 @@ func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 	rel()
 	// The cancelled waiter must not have left the pool leaked or the
 	// queue corrupted.
-	rel2, err := a.Acquire(context.Background(), 1)
+	rel2, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("pool unusable after cancelled waiter: %v", err)
 	}
 	rel2()
 }
 
-// TestAdmitterFIFOWeighted pins the fairness contract: a narrow waiter
-// queued behind a wide one stays blocked while the wide one waits, even
-// when enough slots free up for the narrow one to squeeze in.
-func TestAdmitterFIFOWeighted(t *testing.T) {
-	a := NewAdmitter(4, 8)
-	relA, err := a.Acquire(context.Background(), 2)
+// TestAdmitterFIFORoundRobin pins the fairness contract: waiters are
+// served FIFO within a client, and grants rotate round-robin across
+// clients, so one client's backlog cannot convoy another's request.
+func TestAdmitterFIFORoundRobin(t *testing.T) {
+	a := NewAdmitter(1, 8)
+	hold, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB, err := a.Acquire(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqueue := func(name string, need, depth int) chan struct{} {
-		ch := make(chan struct{})
+	var (
+		mu    sync.Mutex
+		order []string
+		wg    sync.WaitGroup
+	)
+	enqueue := func(client, name string) {
+		depth := a.QueueLen() + 1
+		wg.Add(1)
 		go func() {
-			defer close(ch)
-			r, err := a.Acquire(context.Background(), need)
+			defer wg.Done()
+			r, err := a.AcquireAs(context.Background(), client, KindInteractive)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
 			}
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
 			r()
 		}()
-		for i := 0; ; i++ {
-			if a.QueueLen() == depth {
-				return ch
-			}
+		for i := 0; a.QueueLen() != depth; i++ {
 			if i > 1000 {
 				t.Fatalf("%s never queued", name)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	wide := enqueue("wide", 3, 1)
-	narrow := enqueue("narrow", 1, 2)
-	// Free 2 slots: not enough for wide (head of line), and narrow must
-	// NOT jump it even though one slot would suffice.
-	relA()
-	select {
-	case <-narrow:
-		t.Fatal("narrow waiter jumped the wide head-of-line waiter")
-	case <-wide:
-		t.Fatal("wide waiter granted with insufficient slots")
-	case <-time.After(50 * time.Millisecond):
+	// Client A queues three requests before client B queues one.
+	enqueue("A", "a1")
+	enqueue("A", "a2")
+	enqueue("A", "a3")
+	enqueue("B", "b1")
+	hold()
+	wg.Wait()
+	// One slot: each grant runs alone, so the order is the grant order.
+	// B's single request goes right after A's head, not behind A's
+	// whole backlog; A's own requests stay in arrival order.
+	want := []string{"a1", "b1", "a2", "a3"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("grant order %v, want %v", order, want)
 	}
-	relB()
-	<-wide
-	<-narrow
 }
 
 // TestAdmitterConcurrent hammers the pool from many goroutines; under
@@ -174,7 +163,7 @@ func TestAdmitterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel, err := a.Acquire(context.Background(), 1+i%4)
+			rel, err := a.Acquire(context.Background())
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return

@@ -31,8 +31,6 @@ type SimulateRequest struct {
 	Seed       int64 `json:"seed,omitempty"`        // workload seed (default 1)
 	IONodes    int   `json:"ionodes,omitempty"`     // I/O node count override
 	StripeUnit int64 `json:"stripe_unit,omitempty"` // PFS stripe unit override, bytes
-	Shards     int   `json:"shards,omitempty"`      // sharded-kernel lane count
-	WindowUS   int64 `json:"window_us,omitempty"`   // sync-window width, µs
 	SampleMS   int64 `json:"sample_ms,omitempty"`   // utilization sample period, ms
 
 	Tiers *TiersRequest `json:"tiers,omitempty"`
@@ -279,17 +277,11 @@ func (r *SimulateRequest) validate() error {
 	default:
 		return fieldErrorf("app", "unknown app %q (want escat or prism)", r.App)
 	}
-	if r.Shards < 0 {
-		return fieldErrorf("shards", "shards must be non-negative, got %d", r.Shards)
-	}
 	if r.IONodes < 0 {
 		return fieldErrorf("ionodes", "ionodes must be non-negative, got %d", r.IONodes)
 	}
 	if r.StripeUnit < 0 {
 		return fieldErrorf("stripe_unit", "stripe_unit must be non-negative, got %d", r.StripeUnit)
-	}
-	if r.WindowUS < 0 {
-		return fieldErrorf("window_us", "window_us must be non-negative, got %d", r.WindowUS)
 	}
 	if r.SampleMS < 0 {
 		return fieldErrorf("sample_ms", "sample_ms must be non-negative, got %d", r.SampleMS)
@@ -300,6 +292,13 @@ func (r *SimulateRequest) validate() error {
 	}
 	if err := r.faultsPlan().Validate(ionodes); err != nil {
 		return fieldErrorf("faults", "%v", err)
+	}
+	if r.Tiers == nil || r.Tiers.Client == nil {
+		for i, f := range r.Faults {
+			if faults.Kind(f.Kind) == faults.ClientFlap {
+				return fieldErrorf("faults", "faults: fault %d: client-flap requires the client cache tier (tiers.client)", i)
+			}
+		}
 	}
 	return nil
 }
@@ -331,8 +330,6 @@ func (r *SimulateRequest) config() core.Config {
 		Seed:           r.Seed,
 		IONodes:        r.IONodes,
 		StripeUnit:     r.StripeUnit,
-		Shards:         r.Shards,
-		Window:         time.Duration(r.WindowUS) * time.Microsecond,
 		SampleInterval: time.Duration(r.SampleMS) * time.Millisecond,
 		Faults:         r.faultsPlan(),
 	}
@@ -612,7 +609,7 @@ func (s *Server) admitAndRun(ctx context.Context, req *SimulateRequest, cfg core
 // admitAndRunAs passes admission control under a client identity and
 // request kind (for fair-share scheduling) and executes the run.
 func (s *Server) admitAndRunAs(ctx context.Context, client, kind string, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-	release, err := s.adm.AcquireAs(ctx, client, kind, s.adm.Cost(cfg.Shards))
+	release, err := s.adm.AcquireAs(ctx, client, kind)
 	if err != nil {
 		return nil, err
 	}

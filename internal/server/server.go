@@ -1,6 +1,6 @@
 // Package server is the iosimd daemon: a long-running HTTP/JSON service
 // that answers what-if simulation requests (application × version ×
-// cache tiers × kernel sharding) against the simulated Paragon XP/S.
+// cache tiers × fault plan) against the simulated Paragon XP/S.
 //
 // Three concerns shape it:
 //
@@ -11,11 +11,11 @@
 //     microseconds instead of re-simulating. Concurrent identical
 //     requests coalesce onto one in-flight run.
 //
-//   - Admission control. Simulations are CPU-bound and sharded runs
-//     occupy several cores, so requests pass a weighted slot pool sized
-//     off GOMAXPROCS (a run's cost is its clamped shard count) with a
-//     bounded FIFO queue; overflow is shed fast with 429 + Retry-After,
-//     and every run carries a deadline and dies with its client.
+//   - Admission control. Simulations are CPU-bound and single-threaded,
+//     so each run takes one slot of a pool sized off GOMAXPROCS, granted
+//     from bounded per-client FIFO queues; overflow is shed fast with
+//     429 + Retry-After, and every run carries a deadline and dies with
+//     its client.
 //
 //   - Observability. Hand-rolled Prometheus text exposition at
 //     /metrics (request/latency/cache/admission series), plus /healthz.
@@ -159,9 +159,6 @@ func (s *Server) wireMetrics() {
 		"Result artifacts indexed in the disk spill directory.")
 	queueDepth := r.Gauge("iosimd_queue_depth",
 		"Requests waiting in the admission queue.")
-	classDepth := r.GaugeVec("iosimd_queue_depth_class",
-		"Requests waiting in the admission queue, by slot-cost weight class.",
-		"class")
 	inFlight := r.Gauge("iosimd_inflight_slots",
 		"Admission slots currently held by running simulations.")
 	heldKind := r.GaugeVec("iosimd_slots_held",
@@ -178,9 +175,6 @@ func (s *Server) wireMetrics() {
 
 	// Pre-create the label children so the gauges read zero from boot
 	// instead of appearing on first use.
-	for _, class := range costClasses {
-		classDepth.With(class)
-	}
 	for _, kind := range []string{KindInteractive, KindSweep} {
 		heldKind.With(kind)
 	}
@@ -193,7 +187,6 @@ func (s *Server) wireMetrics() {
 	s.cache.onEntries = cacheEntries.Set
 	s.cache.onSpilled = cacheSpilled.Set
 	s.adm.onQueueDepth = queueDepth.Set
-	s.adm.onClassDepth = func(class string, depth int64) { classDepth.With(class).Set(depth) }
 	s.adm.onInFlight = inFlight.Set
 	s.adm.onHeldKind = func(kind string, held int64) { heldKind.With(kind).Set(held) }
 	s.adm.onReject = s.rejected.Inc

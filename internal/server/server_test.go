@@ -159,7 +159,7 @@ func TestSimulateBadRequests(t *testing.T) {
 		{`{"app":"escat","version":"Z"}`, ErrCodeInvalidRequest, "version", `unknown escat version "Z"`},
 		{`{"app":"escat","dataset":"helium","version":"C"}`, ErrCodeInvalidRequest, "dataset", `unknown escat dataset "helium"`},
 		{`{"app":"prism","dataset":"ethylene","version":"C"}`, ErrCodeInvalidRequest, "dataset", "prism takes no dataset"},
-		{`{"app":"prism","version":"C","shards":-1}`, ErrCodeInvalidRequest, "shards", "shards must be non-negative"},
+		{`{"app":"prism","version":"C","shards":2}`, ErrCodeBadJSON, "", `unknown field "shards"`},
 		{`{"app":"prism","version":"C","ionodes":-1}`, ErrCodeInvalidRequest, "ionodes", "ionodes must be non-negative"},
 		{`{"app":"prism","version":"C","faults":[{"kind":"disk-melt"}]}`,
 			ErrCodeInvalidRequest, "faults", "unknown kind"},
@@ -169,6 +169,10 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "faults", "out of range"},
 		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","bogus":1}]}`,
 			ErrCodeBadJSON, "", "bad request body"},
+		{`{"app":"prism","version":"C","faults":[{"kind":"client-flap","node":1}]}`,
+			ErrCodeInvalidRequest, "faults", "client-flap requires the client cache tier"},
+		{`{"app":"prism","version":"C","tiers":{"ionode":{}},"faults":[{"kind":"client-flap","node":1}]}`,
+			ErrCodeInvalidRequest, "faults", "client-flap requires the client cache tier"},
 	} {
 		resp, out := postJSON(t, ts, "/v1/simulate", tc.body)
 		if resp.StatusCode != 400 {

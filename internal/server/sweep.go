@@ -36,8 +36,6 @@ type SweepRequest struct {
 	Faults [][]FaultRequest `json:"faults,omitempty"`
 
 	// Per-point scalars shared by every grid point.
-	Shards   int   `json:"shards,omitempty"`
-	WindowUS int64 `json:"window_us,omitempty"`
 	SampleMS int64 `json:"sample_ms,omitempty"`
 }
 
@@ -137,8 +135,6 @@ func (sr *SweepRequest) expand() ([]sweepPoint, error) {
 				Seed:       seeds[c[1]],
 				IONodes:    ionodes[c[2]],
 				StripeUnit: stripes[c[3]],
-				Shards:     sr.Shards,
-				WindowUS:   sr.WindowUS,
 				SampleMS:   sr.SampleMS,
 				Tiers:      tiers[c[4]],
 				Faults:     plans[c[5]],

@@ -189,6 +189,34 @@ func TestSweepFaultAxis(t *testing.T) {
 	if !strings.Contains(points[0].Error, "unknown kind") {
 		t.Errorf("bad rung error %q", points[0].Error)
 	}
+
+	// A client-flap rung needs the client tier: the tierless point is
+	// invalid and never runs, the client-tier point runs.
+	const flapGrid = `{"app":"prism","versions":["C"],"tiers":[null,{"client":{}}],
+		"faults":[[{"kind":"client-flap","at_ms":1000,"node":1}]]}`
+	resp, body = postJSON(t, ts, "/v1/sweep", flapGrid)
+	if resp.StatusCode != 200 {
+		t.Fatalf("flap status %d: %s", resp.StatusCode, body)
+	}
+	_, points, summary = parseSweepBody(t, body)
+	if summary.OK != 1 || summary.Invalid != 1 || len(points) != 2 {
+		t.Fatalf("flap grid: summary %+v points %+v", summary, points)
+	}
+	for _, p := range points {
+		switch p.Tier {
+		case 0:
+			if p.Status != "invalid" || !strings.Contains(p.Error, "client-flap requires the client cache tier") {
+				t.Errorf("tierless flap point: %+v", p)
+			}
+		case 1:
+			if p.Status != "ok" {
+				t.Errorf("client-tier flap point: %+v", p)
+			}
+		}
+	}
+	if v := s.faultRuns.Value(); v != 3 {
+		t.Errorf("iosimd_fault_runs_total = %d, want 3 (invalid flap point must not run)", v)
+	}
 }
 
 func TestSweepInRequestDedupAndInvalid(t *testing.T) {

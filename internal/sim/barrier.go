@@ -86,7 +86,7 @@ func (b *Barrier) release() {
 		b.waitTotal += b.k.now - w.at
 		if w.p != nil {
 			delete(b.arriveAt, w.p)
-			b.k.wake(w.p)
+			b.k.Resume(w.p)
 		} else {
 			fn := w.fn
 			b.k.schedule(b.k.now, nil, fn)

@@ -49,7 +49,7 @@ func (m *Mailbox) Send(v any) {
 		w := m.waiters.pop()
 		if w.p != nil {
 			m.pending[w.p] = v
-			m.k.wake(w.p)
+			m.k.Resume(w.p)
 			return
 		}
 		// Deliver to the callback receiver through a same-instant event,
@@ -62,12 +62,6 @@ func (m *Mailbox) Send(v any) {
 		return
 	}
 	m.queue.push(v)
-}
-
-// SendAfter enqueues v after d of virtual time, modeling transit latency
-// without blocking the caller.
-func (m *Mailbox) SendAfter(d Time, v any) {
-	m.k.After(d, func() { m.Send(v) })
 }
 
 // Recv blocks p until a message is available and returns it.

@@ -243,27 +243,6 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxSendAfterLatency(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var at Time
-	k.Spawn("sender", func(p *Proc) {
-		m.SendAfter(5*time.Second, "hello")
-	})
-	k.Spawn("recv", func(p *Proc) {
-		if v := m.Recv(p); v != "hello" {
-			t.Errorf("got %v", v)
-		}
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 5*time.Second {
-		t.Fatalf("delivered at %v, want 5s", at)
-	}
-}
-
 func TestMailboxTryRecv(t *testing.T) {
 	k := NewKernel()
 	m := NewMailbox(k, "mb")
