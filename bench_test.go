@@ -416,59 +416,6 @@ func BenchmarkKernelResourceContention(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelMailboxPingPong bounces one message between two parties,
-// process-shaped (Recv parks a goroutine each round trip) vs
-// callback-shaped (RecvFn re-arms a delivery callback).
-func BenchmarkKernelMailboxPingPong(b *testing.B) {
-	b.Run("proc", func(b *testing.B) {
-		k := sim.NewKernel()
-		ping := sim.NewMailbox(k, "ping")
-		pong := sim.NewMailbox(k, "pong")
-		k.Spawn("a", func(p *sim.Proc) {
-			for i := 0; i < b.N; i++ {
-				ping.Send(i)
-				pong.Recv(p)
-			}
-		})
-		k.Spawn("b", func(p *sim.Proc) {
-			for i := 0; i < b.N; i++ {
-				pong.Send(ping.Recv(p))
-			}
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("callback", func(b *testing.B) {
-		k := sim.NewKernel()
-		ping := sim.NewMailbox(k, "ping")
-		pong := sim.NewMailbox(k, "pong")
-		left := b.N
-		var onPing, onPong func(v any)
-		onPing = func(v any) {
-			pong.Send(v)
-			ping.RecvFn(onPing)
-		}
-		onPong = func(v any) {
-			left--
-			if left > 0 {
-				ping.Send(left)
-				pong.RecvFn(onPong)
-			}
-		}
-		ping.RecvFn(onPing)
-		pong.RecvFn(onPong)
-		k.After(0, func() { ping.Send(left) })
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // BenchmarkSuiteParallel regenerates the entire artifact suite through
 // the worker-pool runner, serial vs all cores — the wall-clock win the
 // iotables -j flag buys. Use -benchtime=1x: one iteration re-simulates

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"paragonio/internal/cliflags"
@@ -62,66 +63,68 @@ func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64)
 	if err != nil {
 		return err
 	}
+	// The what-if ladders, by sweep name, each with the table that shows
+	// its own counters.
+	rungTable := labelled(func(r *iobench.Result) string { return r.CacheLabel })
+	ladders := map[string]struct {
+		rungs func() []iobench.Rung
+		table func(io.Writer, string, []*iobench.Result) error
+	}{
+		"cache":       {iobench.CacheLadder, rungTable},
+		"clientcache": {iobench.ClientCacheLadder, rungTable},
+		"flush":       {iobench.FlushLadder, iobench.WriteFlushTable},
+		"faults":      {iobench.FaultLadder, iobench.WriteFaultTable},
+		"logtier":     {iobench.LogTierLadder, iobench.WriteLogTierTable},
+	}
 	for _, k := range kernels {
 		base := iobench.Params{
 			Kernel: k, Mode: mode, Nodes: nodes,
 			Request: request, Volume: volume, Seed: seed,
 		}
 		var results []*iobench.Result
-		var label func(*iobench.Result) string
+		table := rungTable
 		switch sweep {
 		case "modes":
 			results, err = iobench.SweepModes(base)
-			label = func(r *iobench.Result) string { return r.Params.Mode.String() }
+			table = labelled(func(r *iobench.Result) string { return r.Params.Mode.String() })
 		case "request":
 			results, err = iobench.SweepRequestSizes(base,
 				[]int64{4 << 10, 16 << 10, 64 << 10, 128 << 10, 512 << 10})
-			label = func(r *iobench.Result) string {
+			table = labelled(func(r *iobench.Result) string {
 				return fmt.Sprintf("%d KB", r.Params.Request>>10)
-			}
+			})
 		case "ionodes":
 			results, err = iobench.SweepIONodes(base, []int{2, 4, 8, 16, 32})
-			label = func(r *iobench.Result) string {
+			table = labelled(func(r *iobench.Result) string {
 				return fmt.Sprintf("%d io nodes", r.Params.IONodes)
-			}
-		case "cache":
-			results, err = iobench.SweepCache(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
-		case "clientcache":
-			results, err = iobench.SweepClientCache(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
+			})
 		case "advisor":
 			results, err = iobench.SweepAdvisor(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
-		case "flush":
-			results, err = iobench.SweepFlush(base)
-		case "faults":
-			results, err = iobench.SweepFaults(base)
-		case "logtier":
-			results, err = iobench.SweepLogTier(base)
 		default:
-			return cliflags.Sweep(sweep,
-				[]string{"modes", "request", "ionodes", "cache", "clientcache", "advisor", "flush", "faults", "logtier"})
+			l, ok := ladders[sweep]
+			if !ok {
+				return cliflags.Sweep(sweep,
+					[]string{"modes", "request", "ionodes", "cache", "clientcache", "advisor", "flush", "faults", "logtier"})
+			}
+			results, err = iobench.SweepLadder(base, l.rungs())
+			table = l.table
 		}
 		if err != nil {
 			return err
 		}
 		title := fmt.Sprintf("%s: %d nodes, %d KB requests, %d MB volume (sweep: %s)",
 			k, nodes, request>>10, volume>>20, sweep)
-		switch sweep {
-		case "flush":
-			err = iobench.WriteFlushTable(os.Stdout, title, results)
-		case "faults":
-			err = iobench.WriteFaultTable(os.Stdout, title, results)
-		case "logtier":
-			err = iobench.WriteLogTierTable(os.Stdout, title, results)
-		default:
-			err = iobench.WriteTable(os.Stdout, title, results, label)
-		}
-		if err != nil {
+		if err := table(os.Stdout, title, results); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
 	return nil
+}
+
+// labelled returns a table writer whose first column is label(result).
+func labelled(label func(*iobench.Result) string) func(io.Writer, string, []*iobench.Result) error {
+	return func(w io.Writer, title string, results []*iobench.Result) error {
+		return iobench.WriteTable(w, title, results, label)
+	}
 }

@@ -152,21 +152,14 @@ func TestSliceByPhase(t *testing.T) {
 	}
 }
 
-func TestBytesByOpAndRequestSizes(t *testing.T) {
+func TestRequestSizes(t *testing.T) {
 	tr := pablo.NewTrace()
 	tr.Record(mkEv(pablo.OpWrite, 100, 0, 0))
 	tr.Record(mkEv(pablo.OpWrite, 100, 0, 0))
 	tr.Record(mkEv(pablo.OpWrite, 300, 0, 0))
-	if got := BytesByOp(tr, pablo.OpWrite); got != 500 {
-		t.Fatalf("BytesByOp = %d", got)
-	}
 	sizes := RequestSizes(tr, pablo.OpWrite)
-	if sizes[100] != 2 || sizes[300] != 1 {
+	if len(sizes) != 2 || sizes[100] != 2 || sizes[300] != 1 {
 		t.Fatalf("RequestSizes = %v", sizes)
-	}
-	ds := DistinctSizes(tr, pablo.OpWrite)
-	if len(ds) != 2 || ds[0] != 100 || ds[1] != 300 {
-		t.Fatalf("DistinctSizes = %v", ds)
 	}
 }
 
@@ -188,35 +181,5 @@ func TestBurstiness(t *testing.T) {
 	}
 	if got := Burstiness(pablo.NewTrace(), pablo.OpWrite); got != 0 {
 		t.Fatalf("empty burstiness = %g", got)
-	}
-}
-
-func TestPredictability(t *testing.T) {
-	// A steady stream: near-perfect linear growth.
-	steady := pablo.NewTrace()
-	for i := 0; i < 100; i++ {
-		steady.Record(mkEv(pablo.OpWrite, 100, time.Duration(i)*time.Second, time.Millisecond))
-	}
-	fit := Predictability(steady, pablo.OpWrite)
-	if fit.R2 < 0.99 {
-		t.Fatalf("steady stream R2 = %g, want ~1", fit.R2)
-	}
-	if fit.Slope < 99 || fit.Slope > 101 {
-		t.Fatalf("steady slope = %g B/s, want ~100", fit.Slope)
-	}
-	// A bursty stream: everything moves in two spikes.
-	bursty := pablo.NewTrace()
-	for i := 0; i < 50; i++ {
-		bursty.Record(mkEv(pablo.OpWrite, 100, time.Second, time.Millisecond))
-	}
-	for i := 0; i < 50; i++ {
-		bursty.Record(mkEv(pablo.OpWrite, 100, 99*time.Second, time.Millisecond))
-	}
-	if b := Predictability(bursty, pablo.OpWrite); b.R2 >= fit.R2 {
-		t.Fatalf("bursty R2 %g not below steady %g", b.R2, fit.R2)
-	}
-	// Degenerate inputs.
-	if z := Predictability(pablo.NewTrace(), pablo.OpWrite); z.R2 != 0 || z.Slope != 0 {
-		t.Fatalf("empty trace fit = %+v", z)
 	}
 }

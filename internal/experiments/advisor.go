@@ -30,14 +30,14 @@ import (
 
 // advisorLoop is one workload's closed loop.
 type advisorLoop struct {
-	id         string
+	app        string // what-if app id (see Suite.whatIf); also the metric prefix
 	title      string
 	adviseFrom func(*Suite) (*core.Result, error) // trace the advisor reads
-	baseline   func(*Suite) (*core.Result, error) // canonical cache-off run
-	rerun      func(*Suite, cache.Tiers) (*core.Result, error)
-	headline   string // the headline operation's column name
+	headline   string                             // the headline operation's column name
 	opTime     func(*core.Result) time.Duration
-	oracle     func(*Suite) ([]oracleRow, error) // existing-sweep candidate pool
+	// oracle names the study sweeps whose tiers-on variants form the
+	// candidate pool the advised run is scored against.
+	oracle []string
 }
 
 // oracleRow is one candidate configuration from the existing sweeps.
@@ -58,145 +58,60 @@ func restartReadTime(res *core.Result) time.Duration {
 	})
 }
 
-// advisedRun reruns a workload under the advised tiers through the
-// suite cache, so iotables/iobench invocations share the work.
-func (s *Suite) advisedRun(key string, tiers cache.Tiers, run func(core.Config) (*core.Result, error)) (*core.Result, error) {
-	return s.run("advisor/"+key, func() (*core.Result, error) {
-		cfg := s.cfg()
-		cfg.Tiers = tiers
-		return run(cfg)
-	})
+// studyVariants maps each what-if study to its variant sweep.
+var studyVariants = map[string]func() []variant{
+	"cachewhatif": cacheVariants,
+	"clientcache": clientVariants,
+	"logtier":     logTierVariants,
 }
 
-func advisorLoops() []advisorLoop {
-	cachePool := func(s *Suite, fetch func(cacheVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range cacheVariants() {
-			if v.cfg == nil {
-				continue // the baseline is scored separately
-			}
-			res, err := fetch(v)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, oracleRow{label: "cachewhatif/" + v.id, t: opTime(res)})
-		}
-		return rows, nil
-	}
-	clientPool := func(s *Suite, fetch func(clientVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range clientVariants() {
+// oraclePool scores loop's headline operation under every tiers-on
+// variant of its oracle studies (the baseline is scored separately).
+// The read-dominated carbon-monoxide loop leaves the log tier out: a log
+// never serves reads, so its rungs cannot be oracle-best there, and the
+// 256-node reruns are the suite's most expensive.
+func (s *Suite) oraclePool(loop advisorLoop) ([]oracleRow, error) {
+	var rows []oracleRow
+	for _, study := range loop.oracle {
+		for _, v := range studyVariants[study]() {
 			if !v.tiers.Enabled() {
 				continue
 			}
-			res, err := fetch(v)
+			res, err := s.whatIf(loop.app, v.tiers)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, oracleRow{label: "clientcache/" + v.id, t: opTime(res)})
+			rows = append(rows, oracleRow{label: study + "/" + v.id, t: loop.opTime(res)})
 		}
-		return rows, nil
 	}
-	// logPool adds the log-tier rungs of the logtier study to the search
-	// space. The read-dominated carbon-monoxide loop keeps its pool
-	// unchanged: the log tier never serves reads, so its rungs cannot be
-	// oracle-best there, and the 256-node reruns are the suite's most
-	// expensive.
-	logPool := func(s *Suite, fetch func(logVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range logTierVariants() {
-			res, err := fetch(v)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, oracleRow{label: "logtier/" + v.id, t: opTime(res)})
-		}
-		return rows, nil
-	}
+	return rows, nil
+}
+
+func advisorLoops() []advisorLoop {
 	return []advisorLoop{
 		{
-			id:         "eth",
+			app:        "eth",
 			title:      "ESCAT C (ethylene) staging",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Ethylene("A") },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.Ethylene("C") },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("eth", t, func(cfg core.Config) (*core.Result, error) {
-					return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC())
-				})
-			},
-			headline: "quad_write_s",
-			opTime:   func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) },
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.EthyleneCached,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) })
-				if err != nil {
-					return nil, err
-				}
-				more, err := logPool(s, s.EthyleneLog,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) })
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			headline:   "quad_write_s",
+			opTime:     func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) },
+			oracle:     []string{"cachewhatif", "logtier"},
 		},
 		{
-			id:         "prism",
+			app:        "prism",
 			title:      "PRISM C restart",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Prism("A") },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.Prism("C") },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("prism", t, func(cfg core.Config) (*core.Result, error) {
-					return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
-				})
-			},
-			headline: "rst_read_s",
-			opTime:   restartReadTime,
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.PrismCached, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				more, err := clientPool(s, s.PrismClient, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, more...)
-				more, err = logPool(s, s.PrismLog, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			headline:   "rst_read_s",
+			opTime:     restartReadTime,
+			oracle:     []string{"cachewhatif", "clientcache", "logtier"},
 		},
 		{
-			id:         "co",
+			app:        "co",
 			title:      "ESCAT C (carbon monoxide) reload",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("co", t, func(cfg core.Config) (*core.Result, error) {
-					return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-				})
-			},
-			headline: "quad_read_s",
-			opTime:   func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) },
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.CarbonMonoxideCached,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) })
-				if err != nil {
-					return nil, err
-				}
-				more, err := clientPool(s, s.CarbonMonoxideClient,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) })
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			headline:   "quad_read_s",
+			opTime:     func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) },
+			oracle:     []string{"cachewhatif", "clientcache"},
 		},
 	}
 }
@@ -214,15 +129,15 @@ func advisorExp(s *Suite) (*Artifact, error) {
 		}
 		plan := policy.AdviseTiers(policy.Classify(src.Trace), policy.CacheOptions{})
 
-		base, err := loop.baseline(s)
+		base, err := s.whatIf(loop.app, cache.Tiers{})
 		if err != nil {
 			return nil, err
 		}
-		advised, err := loop.rerun(s, plan.Tiers)
+		advised, err := s.whatIf(loop.app, plan.Tiers)
 		if err != nil {
 			return nil, err
 		}
-		pool, err := loop.oracle(s)
+		pool, err := s.oraclePool(loop)
 		if err != nil {
 			return nil, err
 		}
@@ -253,13 +168,13 @@ func advisorExp(s *Suite) (*Artifact, error) {
 				{"oracle-best (" + best.label + ")", secs(best.t), fmt.Sprintf("%.2f", oracleSpeed), "100.0"},
 			})
 
-		paper[loop.id+"."+loop.headline] = baseT.Seconds()
-		measured[loop.id+"."+loop.headline] = advT.Seconds()
-		measured[loop.id+".oracle_"+loop.headline] = best.t.Seconds()
+		paper[loop.app+"."+loop.headline] = baseT.Seconds()
+		measured[loop.app+"."+loop.headline] = advT.Seconds()
+		measured[loop.app+".oracle_"+loop.headline] = best.t.Seconds()
 		// 'paper' 100 is the oracle bar, so the summary view shows how
 		// much of the oracle-best speedup the advice captured.
-		paper[loop.id+".pct_of_oracle"] = 100
-		measured[loop.id+".pct_of_oracle"] = pct
+		paper[loop.app+".pct_of_oracle"] = 100
+		measured[loop.app+".pct_of_oracle"] = pct
 	}
 
 	return &Artifact{

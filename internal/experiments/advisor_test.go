@@ -15,22 +15,22 @@ func TestAdvisorReachesOracle(t *testing.T) {
 		t.Fatalf("advisor experiment: %v", err)
 	}
 	for _, loop := range advisorLoops() {
-		pct, ok := art.Measured[loop.id+".pct_of_oracle"]
+		pct, ok := art.Measured[loop.app+".pct_of_oracle"]
 		if !ok {
-			t.Fatalf("%s: pct_of_oracle metric missing", loop.id)
+			t.Fatalf("%s: pct_of_oracle metric missing", loop.app)
 		}
 		if pct < 90 {
 			t.Errorf("%s: advised tiers reach %.1f%% of oracle-best speedup, want >= 90%%",
-				loop.id, pct)
+				loop.app, pct)
 		}
-		base := art.Paper[loop.id+"."+loop.headline]
-		adv := art.Measured[loop.id+"."+loop.headline]
+		base := art.Paper[loop.app+"."+loop.headline]
+		adv := art.Measured[loop.app+"."+loop.headline]
 		if adv <= 0 || base <= 0 {
-			t.Fatalf("%s: degenerate headline times base=%v advised=%v", loop.id, base, adv)
+			t.Fatalf("%s: degenerate headline times base=%v advised=%v", loop.app, base, adv)
 		}
 		if adv >= base {
 			t.Errorf("%s: advised run (%.2fs) not faster than no-cache baseline (%.2fs)",
-				loop.id, adv, base)
+				loop.app, adv, base)
 		}
 	}
 }

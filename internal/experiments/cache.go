@@ -8,7 +8,6 @@ import (
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
@@ -22,69 +21,19 @@ import (
 // (internal/cache). Cache off reuses the canonical golden-digest runs;
 // each cached variant is a fresh deterministic run.
 
-// cacheVariant is one point of the what-if sweep.
-type cacheVariant struct {
-	id    string
-	label string
-	cfg   *cache.Config
-}
-
 // cacheVariants returns the sweep: no cache, write-behind at two cache
 // sizes, and write-behind plus read-ahead at the same sizes.
-func cacheVariants() []cacheVariant {
-	wb := func(mb int64, ra int) *cache.Config {
-		return &cache.Config{CapacityBytes: mb << 20, WriteBehind: true, ReadAhead: ra}
+func cacheVariants() []variant {
+	wb := func(mb int64, ra int) cache.Tiers {
+		return cache.Tiers{IONode: &cache.Config{CapacityBytes: mb << 20, WriteBehind: true, ReadAhead: ra}}
 	}
-	return []cacheVariant{
-		{id: "off", label: "no cache (paper PFS)", cfg: nil},
-		{id: "wb1", label: "write-behind, 1 MB/node", cfg: wb(1, 0)},
-		{id: "wb32", label: "write-behind, 32 MB/node", cfg: wb(32, 0)},
-		{id: "wbra1", label: "wb + read-ahead 4, 1 MB/node", cfg: wb(1, 4)},
-		{id: "wbra32", label: "wb + read-ahead 4, 32 MB/node", cfg: wb(32, 4)},
+	return []variant{
+		{id: "off", label: "no cache (paper PFS)"},
+		{id: "wb1", label: "write-behind, 1 MB/node", tiers: wb(1, 0)},
+		{id: "wb32", label: "write-behind, 32 MB/node", tiers: wb(32, 0)},
+		{id: "wbra1", label: "wb + read-ahead 4, 1 MB/node", tiers: wb(1, 4)},
+		{id: "wbra32", label: "wb + read-ahead 4, 32 MB/node", tiers: wb(32, 4)},
 	}
-}
-
-// cachedCfg is the suite configuration plus one cache variant.
-func (s *Suite) cachedCfg(v cacheVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers.IONode = v.cfg
-	return cfg
-}
-
-// PrismCached returns the PRISM version C run under a cache variant.
-// The cache-off variant shares the canonical "prism/C" suite entry.
-func (s *Suite) PrismCached(v cacheVariant) (*core.Result, error) {
-	if v.cfg == nil {
-		return s.Prism("C")
-	}
-	return s.run("cache/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.cachedCfg(v), prism.TestProblem(), prism.VersionC())
-	})
-}
-
-// EthyleneCached returns the ESCAT ethylene version C run under a cache
-// variant. The cache-off variant shares the canonical "eth/C" entry.
-func (s *Suite) EthyleneCached(v cacheVariant) (*core.Result, error) {
-	if v.cfg == nil {
-		return s.Ethylene("C")
-	}
-	return s.run("cache/eth/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.cachedCfg(v), escat.Ethylene(), escat.VersionC())
-	})
-}
-
-// CarbonMonoxideCached returns the ESCAT carbon-monoxide version C run
-// under a cache variant — the suite's largest working set (256 nodes, 13
-// collision channels), where cache-size sensitivity and forced-flush
-// stalls have room to appear. The cache-off variant shares the canonical
-// "co/C" entry.
-func (s *Suite) CarbonMonoxideCached(v cacheVariant) (*core.Result, error) {
-	if v.cfg == nil {
-		return s.CarbonMonoxide()
-	}
-	return s.run("cache/co/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.cachedCfg(v), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
 }
 
 // fileOpTime sums the duration of op events on files selected by pred.
@@ -100,7 +49,7 @@ func fileOpTime(t *pablo.Trace, op pablo.Op, pred func(file string) bool) time.D
 
 // cacheRow is the measured shape of one (workload, variant) cell.
 type cacheRow struct {
-	variant  cacheVariant
+	variant  variant
 	exec     time.Duration
 	io       time.Duration
 	target   time.Duration // the workload's headline operation time
@@ -119,7 +68,7 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 
 	prismRows := make([]cacheRow, 0, len(variants))
 	for _, v := range variants {
-		res, err := s.PrismCached(v)
+		res, err := s.whatIf("prism", v.tiers)
 		if err != nil {
 			return nil, err
 		}
@@ -144,10 +93,10 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 	// The ESCAT headline op differs per problem: ethylene's tuning story
 	// is the staging writes; carbon monoxide restarts from staged data,
 	// so its I/O is dominated by the quadrature reload reads.
-	escatRows := func(op pablo.Op, fetch func(cacheVariant) (*core.Result, error)) ([]cacheRow, error) {
+	escatRows := func(app string, op pablo.Op) ([]cacheRow, error) {
 		rows := make([]cacheRow, 0, len(variants))
 		for _, v := range variants {
-			res, err := fetch(v)
+			res, err := s.whatIf(app, v.tiers)
 			if err != nil {
 				return nil, err
 			}
@@ -167,11 +116,11 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 		}
 		return rows, nil
 	}
-	ethRows, err := escatRows(pablo.OpWrite, s.EthyleneCached)
+	ethRows, err := escatRows("eth", pablo.OpWrite)
 	if err != nil {
 		return nil, err
 	}
-	coRows, err := escatRows(pablo.OpRead, s.CarbonMonoxideCached)
+	coRows, err := escatRows("co", pablo.OpRead)
 	if err != nil {
 		return nil, err
 	}

@@ -27,24 +27,17 @@ import (
 // blocks.
 // Client-off variants reuse the canonical golden-digest runs.
 
-// clientVariant is one point of the client-tier sweep.
-type clientVariant struct {
-	id    string
-	label string
-	tiers cache.Tiers
-}
-
 // clientVariants returns the sweep. The lease TTL is a real axis: the
 // 500 ms default expires long before the next energy sweep returns to
 // the same records, so the first row isolates what expiry costs; the
 // 10-minute rows isolate capacity; the last row stacks the I/O-node
 // cache under the best client configuration.
-func clientVariants() []clientVariant {
+func clientVariants() []variant {
 	client := func(mb int64, ttl time.Duration) *cache.ClientConfig {
 		return &cache.ClientConfig{CapacityBytes: mb << 20, LeaseTTL: ttl}
 	}
 	const long = 10 * time.Minute
-	return []clientVariant{
+	return []variant{
 		{id: "off", label: "no cache (paper PFS)"},
 		{id: "cttl", label: "client 8 MB, 500 ms lease", tiers: cache.Tiers{Client: client(8, 0)}},
 		{id: "c1", label: "client 1 MB, 10 min lease", tiers: cache.Tiers{Client: client(1, long)}},
@@ -56,39 +49,9 @@ func clientVariants() []clientVariant {
 	}
 }
 
-// clientCfg is the suite configuration plus one tier variant.
-func (s *Suite) clientCfg(v clientVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers = v.tiers
-	return cfg
-}
-
-// PrismClient returns the PRISM version C run under a client-tier
-// variant. The tiers-off variant shares the canonical "prism/C" entry.
-func (s *Suite) PrismClient(v clientVariant) (*core.Result, error) {
-	if !v.tiers.Enabled() {
-		return s.Prism("C")
-	}
-	return s.run("client/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.clientCfg(v), prism.TestProblem(), prism.VersionC())
-	})
-}
-
-// CarbonMonoxideClient returns the ESCAT carbon-monoxide version C run
-// under a client-tier variant. The tiers-off variant shares the
-// canonical "co/C" entry.
-func (s *Suite) CarbonMonoxideClient(v clientVariant) (*core.Result, error) {
-	if !v.tiers.Enabled() {
-		return s.CarbonMonoxide()
-	}
-	return s.run("client/co/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.clientCfg(v), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
-}
-
 // clientRow is the measured shape of one (workload, variant) cell.
 type clientRow struct {
-	variant    clientVariant
+	variant    variant
 	exec       time.Duration
 	io         time.Duration
 	target     time.Duration // headline op time (quad reload / restart read)
@@ -126,7 +89,7 @@ func clientRowStrings(r clientRow) []string {
 func clientCache(s *Suite) (*Artifact, error) {
 	variants := clientVariants()
 
-	measure := func(res *core.Result, v clientVariant,
+	measure := func(res *core.Result, v variant,
 		target, aux func(file string) bool) clientRow {
 		cs := res.Client
 		return clientRow{
@@ -155,13 +118,13 @@ func clientCache(s *Suite) (*Artifact, error) {
 	coRows := make([]clientRow, 0, len(variants))
 	prismRows := make([]clientRow, 0, len(variants))
 	for _, v := range variants {
-		res, err := s.CarbonMonoxideClient(v)
+		res, err := s.whatIf("co", v.tiers)
 		if err != nil {
 			return nil, err
 		}
 		coRows = append(coRows, measure(res, v, quad, out))
 
-		res, err = s.PrismClient(v)
+		res, err = s.whatIf("prism", v.tiers)
 		if err != nil {
 			return nil, err
 		}

@@ -79,12 +79,12 @@ func TestClientVariantsShareCanonicalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := s.PrismClient(vs[0])
+	shared, err := s.whatIf("prism", vs[0].tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonical != shared {
-		t.Error("tiers-off PrismClient re-ran instead of sharing prism/C")
+		t.Error("tiers-off whatIf re-ran instead of sharing prism/C")
 	}
 	if _, ok := ByID("clientcache"); !ok {
 		t.Error("clientcache experiment not registered")

@@ -57,11 +57,11 @@ func faultsEscatWorkload(s *Suite) iobench.Params {
 // faultsExp runs both workloads down the fault ladder and renders the
 // comparison.
 func faultsExp(s *Suite) (*Artifact, error) {
-	prismRes, err := iobench.SweepFaults(faultsPrismWorkload(s))
+	prismRes, err := iobench.SweepLadder(faultsPrismWorkload(s), iobench.FaultLadder())
 	if err != nil {
 		return nil, err
 	}
-	escatRes, err := iobench.SweepFaults(faultsEscatWorkload(s))
+	escatRes, err := iobench.SweepLadder(faultsEscatWorkload(s), iobench.FaultLadder())
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func flushWorkload(s *Suite) iobench.Params {
 
 // flushPolicy runs the ladder and renders the comparison.
 func flushPolicy(s *Suite) (*Artifact, error) {
-	results, err := iobench.SweepFlush(flushWorkload(s))
+	results, err := iobench.SweepLadder(flushWorkload(s), iobench.FlushLadder())
 	if err != nil {
 		return nil, err
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/core"
 	"paragonio/internal/iobench"
 	"paragonio/internal/pablo"
 )
@@ -29,19 +26,12 @@ func logOnTiers() cache.Tiers {
 	return cache.Tiers{Log: &cache.LogConfig{}}
 }
 
-// logVariant is one point of the application-level log-tier sweep.
-type logVariant struct {
-	id    string
-	label string
-	tiers cache.Tiers
-}
-
 // logTierVariants returns the sweep: the log tier alone (writes at
 // memory speed, reads at disk speed), and the log stacked on the 32 MB
 // write-behind block cache — the pairing the advisor emits for
 // read-back workloads, where drained blocks stay resident.
-func logTierVariants() []logVariant {
-	return []logVariant{
+func logTierVariants() []variant {
+	return []variant{
 		{id: "log", label: "log tier alone", tiers: logOnTiers()},
 		{id: "logwb32", label: "log + write-behind 32 MB", tiers: cache.Tiers{
 			Log:    &cache.LogConfig{},
@@ -50,36 +40,14 @@ func logTierVariants() []logVariant {
 	}
 }
 
-// logCfg is the suite configuration plus one log-tier variant.
-func (s *Suite) logCfg(v logVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers = v.tiers
-	return cfg
-}
-
-// EthyleneLog returns the ESCAT ethylene version C run under a log-tier
-// variant.
-func (s *Suite) EthyleneLog(v logVariant) (*core.Result, error) {
-	return s.run("logtier/eth/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.logCfg(v), escat.Ethylene(), escat.VersionC())
-	})
-}
-
-// PrismLog returns the PRISM version C run under a log-tier variant.
-func (s *Suite) PrismLog(v logVariant) (*core.Result, error) {
-	return s.run("logtier/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.logCfg(v), prism.TestProblem(), prism.VersionC())
-	})
-}
-
 // logTierExp runs both checkpoint-shaped ladders and the application-
 // level read-back race, and renders the comparison.
 func logTierExp(s *Suite) (*Artifact, error) {
-	chkRes, err := iobench.SweepLogTier(faultsPrismWorkload(s))
+	chkRes, err := iobench.SweepLadder(faultsPrismWorkload(s), iobench.LogTierLadder())
 	if err != nil {
 		return nil, err
 	}
-	stgRes, err := iobench.SweepLogTier(faultsEscatWorkload(s))
+	stgRes, err := iobench.SweepLadder(faultsEscatWorkload(s), iobench.LogTierLadder())
 	if err != nil {
 		return nil, err
 	}
@@ -129,31 +97,20 @@ func logTierExp(s *Suite) (*Artifact, error) {
 
 	// The application-level read-back race: the same runs feed the
 	// advisor experiment's oracle pool through the suite cache.
-	var wb32 cacheVariant
-	for _, v := range cacheVariants() {
-		if v.id == "wb32" {
-			wb32 = v
-		}
-	}
-	var logOnly logVariant
-	for _, v := range logTierVariants() {
-		if v.id == "log" {
-			logOnly = v
-		}
-	}
-	ethLog, err := s.EthyleneLog(logOnly)
+	wb32 := cacheVariants()[2].tiers // write-behind, 32 MB/node
+	ethLog, err := s.whatIf("eth", logOnTiers())
 	if err != nil {
 		return nil, err
 	}
-	ethWB, err := s.EthyleneCached(wb32)
+	ethWB, err := s.whatIf("eth", wb32)
 	if err != nil {
 		return nil, err
 	}
-	prismLog, err := s.PrismLog(logOnly)
+	prismLog, err := s.whatIf("prism", logOnTiers())
 	if err != nil {
 		return nil, err
 	}
-	prismWB, err := s.PrismCached(wb32)
+	prismWB, err := s.whatIf("prism", wb32)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
+	"paragonio/internal/cache"
 	"paragonio/internal/core"
 )
 
@@ -62,18 +63,17 @@ func (s *Suite) Release() {
 	s.runs = make(map[string]*runSlot)
 }
 
-// cfg returns the platform configuration all suite runs share.
-func (s *Suite) cfg() core.Config {
-	return core.Config{Seed: s.Seed}
-}
-
-// run returns the cached result for the run identified by id, executing
-// f on first use. The cache key is ConfigKey(s.cfg(), id) rather than id
-// alone, so a Suite whose Seed field is mutated after
-// runs began never serves a result computed under the old configuration
-// — the new configuration simply misses and recomputes.
-func (s *Suite) run(id string, f func() (*core.Result, error)) (*core.Result, error) {
-	key := ConfigKey(s.cfg(), id)
+// run returns the cached result for the run identified by id on a
+// machine with the given cache tiers, executing f on first use with the
+// suite configuration plus those tiers. The cache key is
+// ConfigKey(cfg, id) rather than id alone, so identical configurations
+// share one run (a tiers-off what-if variant is the canonical run), and
+// a Suite whose Seed field is mutated after runs began never serves a
+// result computed under the old configuration — the new configuration
+// simply misses and recomputes.
+func (s *Suite) run(id string, tiers cache.Tiers, f func(core.Config) (*core.Result, error)) (*core.Result, error) {
+	cfg := core.Config{Seed: s.Seed, Tiers: tiers}
+	key := ConfigKey(cfg, id)
 	s.mu.Lock()
 	if s.runs == nil {
 		s.runs = make(map[string]*runSlot)
@@ -84,7 +84,7 @@ func (s *Suite) run(id string, f func() (*core.Result, error)) (*core.Result, er
 		s.runs[key] = slot
 	}
 	s.mu.Unlock()
-	slot.once.Do(func() { slot.res, slot.err = f() })
+	slot.once.Do(func() { slot.res, slot.err = f(cfg) })
 	return slot.res, slot.err
 }
 
@@ -102,8 +102,8 @@ func (s *Suite) Ethylene(id string) (*core.Result, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown ESCAT version %q", id)
 	}
-	return s.run("eth/"+id, func() (*core.Result, error) {
-		return escat.RunOn(s.cfg(), escat.Ethylene(), v)
+	return s.run("eth/"+id, cache.Tiers{}, func(cfg core.Config) (*core.Result, error) {
+		return escat.RunOn(cfg, escat.Ethylene(), v)
 	})
 }
 
@@ -125,8 +125,8 @@ func (s *Suite) Progressions() ([]*core.Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i], errs[i] = s.run(key, func() (*core.Result, error) {
-				return escat.RunOn(s.cfg(), escat.Ethylene(), v)
+			out[i], errs[i] = s.run(key, cache.Tiers{}, func(cfg core.Config) (*core.Result, error) {
+				return escat.RunOn(cfg, escat.Ethylene(), v)
 			})
 		}()
 	}
@@ -141,9 +141,7 @@ func (s *Suite) Progressions() ([]*core.Result, error) {
 
 // CarbonMonoxide returns the cached ESCAT carbon-monoxide version C run.
 func (s *Suite) CarbonMonoxide() (*core.Result, error) {
-	return s.run("co/C", func() (*core.Result, error) {
-		return escat.RunOn(s.cfg(), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
+	return s.whatIf("co", cache.Tiers{})
 }
 
 // Prism returns the cached PRISM run for a version ("A", "B", "C").
@@ -159,9 +157,43 @@ func (s *Suite) Prism(id string) (*core.Result, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown PRISM version %q", id)
 	}
-	return s.run("prism/"+id, func() (*core.Result, error) {
-		return prism.RunOn(s.cfg(), prism.TestProblem(), v)
+	return s.run("prism/"+id, cache.Tiers{}, func(cfg core.Config) (*core.Result, error) {
+		return prism.RunOn(cfg, prism.TestProblem(), v)
 	})
+}
+
+// variant is one what-if machine of a study sweep: cache tiers with a
+// stable id (for oracle labels) and a table label.
+type variant struct {
+	id    string
+	label string
+	tiers cache.Tiers
+}
+
+// whatIf returns the version-C run of app — "eth" (ESCAT ethylene),
+// "prism", or "co" (ESCAT carbon monoxide) — on a machine with the given
+// cache tiers. Runs are cached by configuration, so tiers off is the
+// canonical paper run and every study naming the same tiers shares one
+// run.
+func (s *Suite) whatIf(app string, tiers cache.Tiers) (*core.Result, error) {
+	var f func(core.Config) (*core.Result, error)
+	switch app {
+	case "eth":
+		f = func(cfg core.Config) (*core.Result, error) {
+			return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC())
+		}
+	case "prism":
+		f = func(cfg core.Config) (*core.Result, error) {
+			return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+		}
+	case "co":
+		f = func(cfg core.Config) (*core.Result, error) {
+			return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown what-if app %q", app)
+	}
+	return s.run(app+"/C", tiers, f)
 }
 
 // Artifact is one regenerated table or figure with its paper-vs-measured

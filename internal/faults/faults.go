@@ -48,9 +48,6 @@ const (
 	ClientFlap Kind = "client-flap"
 )
 
-// Kinds lists every fault kind in canonical order.
-func Kinds() []Kind { return []Kind{DiskFail, NodeCrash, Straggler, ClientFlap} }
-
 // Valid reports whether k names a known fault kind.
 func (k Kind) Valid() bool {
 	switch k {
@@ -59,6 +56,11 @@ func (k Kind) Valid() bool {
 	}
 	return false
 }
+
+// maxFlapCount caps ClientFlap.Count. The PFS arms every flap as a
+// kernel event before the run starts, so the count is memory committed
+// up front; the fault ladders use 5.
+const maxFlapCount = 10000
 
 // Fault is one scheduled fault. Fields beyond Kind and At apply only to
 // the kinds that document them; Validate rejects stray settings so a
@@ -150,6 +152,9 @@ func (f Fault) validate(ioNodes int) error {
 		}
 		if f.Count < 0 {
 			return fmt.Errorf("client-flap: negative count %d", f.Count)
+		}
+		if f.Count > maxFlapCount {
+			return fmt.Errorf("client-flap: count %d exceeds the cap of %d", f.Count, maxFlapCount)
 		}
 		if f.Period < 0 {
 			return fmt.Errorf("client-flap: negative period %v", f.Period)

@@ -17,6 +17,7 @@ func TestValidateAcceptsCanonicalFaults(t *testing.T) {
 		plan(Fault{Kind: Straggler, At: time.Second, IONode: 1, Factor: 4}),
 		plan(Fault{Kind: ClientFlap, At: time.Second, Node: 7}),
 		plan(Fault{Kind: ClientFlap, At: time.Second, Node: 0, Count: 5, Period: time.Second}),
+		plan(Fault{Kind: ClientFlap, At: time.Second, Node: 0, Count: maxFlapCount, Period: time.Millisecond}),
 		plan( // one of each, stacked
 			Fault{Kind: DiskFail, At: time.Second, IONode: 0},
 			Fault{Kind: NodeCrash, At: 2 * time.Second, IONode: 1},
@@ -47,6 +48,7 @@ func TestValidateRejectsMalformedFaults(t *testing.T) {
 		{"flap-ionode", plan(Fault{Kind: ClientFlap, IONode: 2}), "I/O-node faults"},
 		{"flap-negative-node", plan(Fault{Kind: ClientFlap, Node: -1}), "negative node"},
 		{"flap-count-no-period", plan(Fault{Kind: ClientFlap, Count: 3}), "positive period"},
+		{"flap-count-cap", plan(Fault{Kind: ClientFlap, Count: maxFlapCount + 1, Period: time.Millisecond}), "exceeds the cap"},
 		{"flap-until", plan(Fault{Kind: ClientFlap, Until: time.Second}), "until"},
 		{"double-crash", plan(
 			Fault{Kind: NodeCrash, IONode: 0},

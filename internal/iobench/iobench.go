@@ -140,9 +140,8 @@ type Result struct {
 	// P50Op and P95Op are data-operation duration percentiles
 	// (queueing included).
 	P50Op, P95Op time.Duration
-	// CacheLabel names the ladder rung for configuration sweeps —
-	// SweepCache, SweepClientCache, SweepFlush, SweepFaults,
-	// SweepLogTier — ("" for other sweeps).
+	// CacheLabel names the ladder rung for SweepLadder and SweepAdvisor
+	// ("" for other sweeps).
 	CacheLabel string
 	// Cache aggregates the I/O-node cache tier's counters across all
 	// I/O nodes (zero value when the tier is off) — the flush-policy

@@ -100,34 +100,26 @@ func SweepIONodes(base Params, counts []int) ([]*Result, error) {
 	})
 }
 
-// CacheConfigs returns the canonical what-if cache ladder for SweepCache:
-// no cache, write-behind, and write-behind + read-ahead. Labels align
-// with the cachewhatif experiment family.
-func CacheConfigs() []struct {
-	Label string
-	Cfg   *cache.Config
-} {
-	return []struct {
-		Label string
-		Cfg   *cache.Config
-	}{
-		{"no-cache", nil},
-		{"write-behind", &cache.Config{WriteBehind: true}},
-		{"wb+read-ahead", &cache.Config{WriteBehind: true, ReadAhead: 4}},
-	}
+// Rung is one point of a what-if ladder: the cache tiers and fault plan
+// a sweep point runs under, and the label its table row carries.
+type Rung struct {
+	Label  string
+	Tiers  cache.Tiers
+	Faults faults.Plan
 }
 
-// SweepCache runs one kernel/mode across the I/O-node cache ladder — the
-// what-if counterpart of the machine-configuration sweeps.
-func SweepCache(base Params) ([]*Result, error) {
-	ladder := CacheConfigs()
+// SweepLadder runs one kernel/mode down a what-if ladder. Each rung
+// replaces the base params' Tiers and Faults, and each result carries
+// its rung's label in CacheLabel.
+func SweepLadder(base Params, ladder []Rung) ([]*Result, error) {
 	params := make([]Params, len(ladder))
-	for i, c := range ladder {
+	for i, r := range ladder {
 		params[i] = base
-		params[i].Tiers.IONode = c.Cfg
+		params[i].Tiers = r.Tiers
+		params[i].Faults = r.Faults
 	}
 	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s cache=%s: %w", base.Kernel, ladder[i].Label, err)
+		return fmt.Errorf("%s rung %q: %w", base.Kernel, ladder[i].Label, err)
 	})
 	if err != nil {
 		return nil, err
@@ -138,118 +130,76 @@ func SweepCache(base Params) ([]*Result, error) {
 	return results, nil
 }
 
-// ClientCacheConfigs returns the client-tier ladder for
-// SweepClientCache: no cache, the lease-coherent client cache alone,
-// and the client cache stacked on the I/O-node cache. The lease TTL is
-// long because benchmark kernels re-reference within one run; the TTL
-// axis itself is studied by the clientcache experiment family.
-func ClientCacheConfigs() []struct {
-	Label string
-	Tiers cache.Tiers
-} {
-	client := func() *cache.ClientConfig {
-		return &cache.ClientConfig{CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
+// CacheLadder is the canonical I/O-node cache ladder: no cache,
+// write-behind, and write-behind + read-ahead. Labels align with the
+// cachewhatif experiment family.
+func CacheLadder() []Rung {
+	return []Rung{
+		{Label: "no-cache"},
+		{Label: "write-behind", Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true}}},
+		{Label: "wb+read-ahead", Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, ReadAhead: 4}}},
 	}
-	return []struct {
-		Label string
-		Tiers cache.Tiers
-	}{
-		{"no-cache", cache.Tiers{}},
-		{"client", cache.Tiers{Client: client()}},
-		{"client+ion", cache.Tiers{
-			Client: client(),
+}
+
+// leasedClient is the client tier the ladders use. The lease TTL is long
+// because benchmark kernels re-reference within one run; the TTL axis
+// itself is studied by the clientcache experiment family.
+func leasedClient() *cache.ClientConfig {
+	return &cache.ClientConfig{CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
+}
+
+// ClientCacheLadder is the client-tier ladder: no cache, the
+// lease-coherent client cache alone, and the client cache stacked on the
+// I/O-node cache.
+func ClientCacheLadder() []Rung {
+	return []Rung{
+		{Label: "no-cache"},
+		{Label: "client", Tiers: cache.Tiers{Client: leasedClient()}},
+		{Label: "client+ion", Tiers: cache.Tiers{
+			Client: leasedClient(),
 			IONode: &cache.Config{WriteBehind: true, ReadAhead: 4},
 		}},
 	}
 }
 
-// SweepClientCache runs one kernel/mode across the client-tier ladder.
-func SweepClientCache(base Params) ([]*Result, error) {
-	ladder := ClientCacheConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = c.Tiers
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s clientcache=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// FlushConfigs returns the flush-policy ladder for SweepFlush: the
-// legacy high-water + idle policy and the deadline policy across batch
-// size, watermark, and deadline settings. Capacity is held at 2 MB so a
-// checkpoint burst overruns it — the regime where the flush policy,
-// not the cache size, decides how many writes stall.
-func FlushConfigs() []struct {
-	Label string
-	Cfg   *cache.Config
-} {
-	mk := func(batch, hw int, deadline time.Duration) *cache.Config {
-		return &cache.Config{
-			WriteBehind:    true,
-			CapacityBytes:  2 << 20,
-			FlushBatch:     batch,
-			DirtyHighWater: hw,
-			FlushDeadline:  deadline,
+// FlushLadder is the flush-policy ladder: the legacy high-water + idle
+// policy and the deadline policy across batch size, watermark, and
+// deadline settings. Capacity is held at 2 MB so a checkpoint burst
+// overruns it — the regime where the flush policy, not the cache size,
+// decides how many writes stall.
+// The watermark is in blocks: 8 and 24 of the cache's 32 64 KB blocks.
+func FlushLadder() []Rung {
+	var ladder []Rung
+	for _, deadline := range []time.Duration{0, 50 * time.Millisecond, time.Second} {
+		policy := "hw-idle"
+		if deadline > 0 {
+			policy = "deadline=" + deadline.String()
+		}
+		for _, batch := range []int{4, 32} {
+			for _, hw := range []int{8, 24} {
+				ladder = append(ladder, Rung{
+					Label: fmt.Sprintf("%s b=%d hw=%d%%", policy, batch, 100*hw/32),
+					Tiers: cache.Tiers{IONode: &cache.Config{
+						WriteBehind:    true,
+						CapacityBytes:  2 << 20,
+						FlushBatch:     batch,
+						DirtyHighWater: hw,
+						FlushDeadline:  deadline,
+					}},
+				})
+			}
 		}
 	}
-	return []struct {
-		Label string
-		Cfg   *cache.Config
-	}{
-		{"hw-idle b=4 hw=25%", mk(4, 8, 0)},
-		{"hw-idle b=4 hw=75%", mk(4, 24, 0)},
-		{"hw-idle b=32 hw=25%", mk(32, 8, 0)},
-		{"hw-idle b=32 hw=75%", mk(32, 24, 0)},
-		{"deadline=50ms b=4 hw=25%", mk(4, 8, 50*time.Millisecond)},
-		{"deadline=50ms b=4 hw=75%", mk(4, 24, 50*time.Millisecond)},
-		{"deadline=50ms b=32 hw=25%", mk(32, 8, 50*time.Millisecond)},
-		{"deadline=50ms b=32 hw=75%", mk(32, 24, 50*time.Millisecond)},
-		{"deadline=1s b=4 hw=25%", mk(4, 8, time.Second)},
-		{"deadline=1s b=4 hw=75%", mk(4, 24, time.Second)},
-		{"deadline=1s b=32 hw=25%", mk(32, 8, time.Second)},
-		{"deadline=1s b=32 hw=75%", mk(32, 24, time.Second)},
-	}
+	return ladder
 }
 
-// SweepFlush runs one kernel/mode across the flush-policy ladder.
-func SweepFlush(base Params) ([]*Result, error) {
-	ladder := FlushConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = cache.Tiers{IONode: c.Cfg}
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s flush=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// LogTierConfigs returns the burst-absorption ladder for SweepLogTier:
-// no tier at all, write-behind through a deadline-flushed I/O-node cache
-// (the server-side answer to bursts), the host-side log alone, and the
-// log draining through the block cache. Capacity is held at 2 MB on the
-// write-behind rung so a checkpoint burst overruns it — the regime the
-// log tier is built for.
-func LogTierConfigs() []struct {
-	Label string
-	Tiers cache.Tiers
-} {
+// LogTierLadder is the burst-absorption ladder: no tier at all,
+// write-behind through a deadline-flushed I/O-node cache (the server-side
+// answer to bursts), the host-side log alone, and the log draining
+// through the block cache. Capacity is held at 2 MB on the write-behind
+// rung so a checkpoint burst overruns it — the regime the log tier is
+// built for.
+func LogTierLadder() []Rung {
 	wb := func() *cache.Config {
 		return &cache.Config{
 			WriteBehind:   true,
@@ -257,36 +207,33 @@ func LogTierConfigs() []struct {
 			FlushDeadline: 50 * time.Millisecond,
 		}
 	}
-	return []struct {
-		Label string
-		Tiers cache.Tiers
-	}{
-		{"no-cache", cache.Tiers{}},
-		{"write-behind", cache.Tiers{IONode: wb()}},
-		{"log-tier", cache.Tiers{Log: &cache.LogConfig{}}},
-		{"log+ion", cache.Tiers{Log: &cache.LogConfig{}, IONode: wb()}},
+	return []Rung{
+		{Label: "no-cache"},
+		{Label: "write-behind", Tiers: cache.Tiers{IONode: wb()}},
+		{Label: "log-tier", Tiers: cache.Tiers{Log: &cache.LogConfig{}}},
+		{Label: "log+ion", Tiers: cache.Tiers{Log: &cache.LogConfig{}, IONode: wb()}},
 	}
 }
 
-// SweepLogTier runs one kernel/mode across the log-tier ladder — the
-// host-side burst buffer raced against server-side write-behind.
-func SweepLogTier(base Params) ([]*Result, error) {
-	ladder := LogTierConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = c.Tiers
+// FaultLadder is the degraded-mode ladder: the healthy machine, then
+// each fault kind injected alone. The client-flap rungs carry the
+// lease-coherent client tier (the fault needs leases to storm), so they
+// get their own healthy baseline for an apples-to-apples comparison.
+// Injection times sit early in the run so most of the workload executes
+// degraded.
+func FaultLadder() []Rung {
+	at := 250 * time.Millisecond
+	plan := func(f faults.Fault) faults.Plan { return faults.Plan{Faults: []faults.Fault{f}} }
+	client := cache.Tiers{Client: leasedClient()}
+	return []Rung{
+		{Label: "healthy"},
+		{Label: "disk-fail", Faults: plan(faults.Fault{Kind: faults.DiskFail, At: at, IONode: 0})},
+		{Label: "node-crash", Faults: plan(faults.Fault{Kind: faults.NodeCrash, At: at, IONode: 0})},
+		{Label: "straggler x4", Faults: plan(faults.Fault{Kind: faults.Straggler, At: at, IONode: 0, Factor: 4})},
+		{Label: "client healthy", Tiers: client},
+		{Label: "client-flap x5", Tiers: client, Faults: plan(faults.Fault{
+			Kind: faults.ClientFlap, At: at, Node: 1, Count: 5, Period: 500 * time.Millisecond})},
 	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s logtier=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
 }
 
 // WriteLogTierTable renders log-tier-sweep results with the tier's own
@@ -310,63 +257,6 @@ func WriteLogTierTable(w io.Writer, title string, results []*Result) error {
 	return report.Table(w, title,
 		[]string{"config", "wall (s)", "MB/s", "p95 (ms)",
 			"appends", "drains", "rd_stalls", "bp_stalls", "stall (s)"}, rows)
-}
-
-// FaultConfigs returns the degraded-mode ladder for SweepFaults: the
-// healthy machine, then each fault kind injected alone. The client-flap
-// rungs carry the lease-coherent client tier (the fault needs leases to
-// storm), so they get their own healthy baseline for an apples-to-apples
-// comparison. Injection times sit early in the run so most of the
-// workload executes degraded.
-func FaultConfigs() []struct {
-	Label  string
-	Plan   faults.Plan
-	Client bool
-} {
-	at := 250 * time.Millisecond
-	return []struct {
-		Label  string
-		Plan   faults.Plan
-		Client bool
-	}{
-		{"healthy", faults.Plan{}, false},
-		{"disk-fail", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: at, IONode: 0}}}, false},
-		{"node-crash", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.NodeCrash, At: at, IONode: 0}}}, false},
-		{"straggler x4", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.Straggler, At: at, IONode: 0, Factor: 4}}}, false},
-		{"client healthy", faults.Plan{}, true},
-		{"client-flap x5", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.ClientFlap, At: at, Node: 1, Count: 5, Period: 500 * time.Millisecond}}}, true},
-	}
-}
-
-// SweepFaults runs one kernel/mode across the fault ladder. The base
-// params' own Faults and Tiers.Client are overridden per rung.
-func SweepFaults(base Params) ([]*Result, error) {
-	ladder := FaultConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Faults = c.Plan
-		if c.Client {
-			params[i].Tiers.Client = &cache.ClientConfig{
-				CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
-		} else {
-			params[i].Tiers.Client = nil
-		}
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s fault=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
 }
 
 // WriteFaultTable renders fault-sweep results with the degraded-mode

@@ -66,30 +66,3 @@ func (t *Trace) Digest() uint64 {
 	t.catchUp()
 	return uint64(t.dig)
 }
-
-// DigestTracer is a retain-nothing Tracer that folds events into the
-// stream digest as they arrive: the streaming counterpart of
-// Trace.Digest for determinism checks over runs too large (or too many)
-// to keep in memory. It produces exactly the digest a Trace recording
-// the same events would.
-type DigestTracer struct {
-	dig digestState
-	n   int
-}
-
-// NewDigestTracer returns an empty streaming digest.
-func NewDigestTracer() *DigestTracer {
-	return &DigestTracer{dig: digestState(fnvOffset64)}
-}
-
-// Record implements Tracer.
-func (t *DigestTracer) Record(ev Event) {
-	t.dig.event(&ev)
-	t.n++
-}
-
-// Digest returns the FNV-1a digest of the events recorded so far.
-func (t *DigestTracer) Digest() uint64 { return uint64(t.dig) }
-
-// Len returns the number of events recorded.
-func (t *DigestTracer) Len() int { return t.n }

@@ -75,36 +75,3 @@ func TestDigestAfterFilter(t *testing.T) {
 		t.Fatalf("parent digest %#x, reference %#x", got, want)
 	}
 }
-
-// TestDigestTracerMatchesTrace checks the retain-nothing tracer and an
-// in-memory trace agree on every prefix.
-func TestDigestTracerMatchesTrace(t *testing.T) {
-	dt := NewDigestTracer()
-	tr := NewTrace()
-	if dt.Digest() != tr.Digest() {
-		t.Fatalf("empty: tracer %#x, trace %#x", dt.Digest(), tr.Digest())
-	}
-	for i, ev := range sampleEvents() {
-		dt.Record(ev)
-		tr.Record(ev)
-		if dt.Digest() != tr.Digest() {
-			t.Fatalf("after %d events: tracer %#x, trace %#x", i+1, dt.Digest(), tr.Digest())
-		}
-		if dt.Len() != i+1 {
-			t.Fatalf("tracer Len = %d, want %d", dt.Len(), i+1)
-		}
-	}
-}
-
-// TestDigestTracerZeroAlloc pins that the streaming digest's Record path
-// is allocation-free — it can sit on the kernel's tracing hot path for
-// arbitrarily large runs without GC pressure.
-func TestDigestTracerZeroAlloc(t *testing.T) {
-	d := NewDigestTracer()
-	ev := Event{Node: 2, Op: OpRead, File: "escat/input.0", Offset: 4096,
-		Size: 622, Start: time.Millisecond, Duration: 450 * time.Microsecond,
-		Mode: "M_UNIX"}
-	if allocs := testing.AllocsPerRun(100, func() { d.Record(ev) }); allocs != 0 {
-		t.Fatalf("DigestTracer.Record allocates %.1f times per event, want 0", allocs)
-	}
-}

@@ -29,17 +29,6 @@ func (s *OpStats) Add(ev Event) {
 	}
 }
 
-// Merge folds another OpStats into the receiver. Merge is associative and
-// commutative, so summaries may be combined in any grouping.
-func (s *OpStats) Merge(o OpStats) {
-	for i := 0; i < int(numOps); i++ {
-		s.Count[i] += o.Count[i]
-		s.Duration[i] += o.Duration[i]
-	}
-	s.BytesRead += o.BytesRead
-	s.BytesWritten += o.BytesWritten
-}
-
 // TotalCount returns the number of operations across all types.
 func (s *OpStats) TotalCount() int {
 	var n int

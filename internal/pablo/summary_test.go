@@ -85,7 +85,12 @@ func TestTimeWindowsConservation(t *testing.T) {
 		ws := TimeWindows(tr, width)
 		var total OpStats
 		for _, w := range ws {
-			total.Merge(w.OpStats)
+			for op := range total.Count {
+				total.Count[op] += w.Count[op]
+				total.Duration[op] += w.Duration[op]
+			}
+			total.BytesRead += w.BytesRead
+			total.BytesWritten += w.BytesWritten
 		}
 		whole := AggregateByOp(tr)
 		if total != whole {

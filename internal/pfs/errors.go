@@ -6,10 +6,6 @@ import "errors"
 var (
 	// ErrClosed reports an operation on a closed handle.
 	ErrClosed = errors.New("pfs: handle is closed")
-	// ErrNotExist reports an open of a file that does not exist when
-	// opened read-only semantics are expected (the simulator creates
-	// files on any open for writing; apps preload inputs).
-	ErrNotExist = errors.New("pfs: file does not exist")
 	// ErrBadSize reports a non-positive request size.
 	ErrBadSize = errors.New("pfs: request size must be positive")
 	// ErrBadOffset reports a negative seek target.

@@ -330,9 +330,6 @@ func (fs *FileSystem) CacheStats() []cache.Stats {
 	return out
 }
 
-// ClientCaching reports whether the client cache tier is enabled.
-func (fs *FileSystem) ClientCaching() bool { return fs.client != nil }
-
 // ClientTier returns the client cache tier, or nil when disabled. Tests
 // use it to install the coherence oracle's observer.
 func (fs *FileSystem) ClientTier() *cache.ClientTier { return fs.client }
@@ -345,9 +342,6 @@ func (fs *FileSystem) ClientStats() cache.ClientStats {
 	}
 	return fs.client.Stats()
 }
-
-// LogCaching reports whether the host-side log tier is enabled.
-func (fs *FileSystem) LogCaching() bool { return fs.log != nil }
 
 // LogTier returns the host-side log tier, or nil when disabled. Tests
 // use it to install the replay oracle's observer and to force crashes.
@@ -500,15 +494,26 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 		return
 	}
 	// Fan out one callback chain per additional I/O node; the request
-	// completes when all involved nodes have served their chunks.
-	done := sim.NewMailbox(fs.k, "xfer-join")
+	// completes when all involved nodes have served their chunks. Each
+	// fan-out completion counts pending down and, if the client is
+	// already parked on the join, resumes it as a new event; the client
+	// re-parks while legs are still out.
+	pending := len(ios) - 1
+	waiting := false
+	join := func() {
+		pending--
+		if waiting {
+			waiting = false
+			p.Kernel().Resume(p)
+		}
+	}
 	for _, io := range ios[1:] {
-		io := io
-		fs.serveIONodeFn(node, f, io, lists[io], write, func() { done.Send(io) })
+		fs.serveIONodeFn(node, f, io, lists[io], write, join)
 	}
 	fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
-	for range ios[1:] {
-		done.Recv(p)
+	for pending > 0 {
+		waiting = true
+		p.Suspend("xfer-join")
 	}
 }
 

@@ -136,17 +136,3 @@ func (s *Sampler) MaxMetaQueue() int {
 	}
 	return m
 }
-
-// MaxCacheDirty returns the deepest per-I/O-node dirty-block queue
-// observed across all samples (0 when caching is disabled).
-func (s *Sampler) MaxCacheDirty() int {
-	var m int
-	for _, sm := range s.samples {
-		for _, d := range sm.CacheDirty {
-			if d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}

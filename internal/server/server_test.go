@@ -173,6 +173,8 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "faults", "client-flap requires the client cache tier"},
 		{`{"app":"prism","version":"C","tiers":{"ionode":{}},"faults":[{"kind":"client-flap","node":1}]}`,
 			ErrCodeInvalidRequest, "faults", "client-flap requires the client cache tier"},
+		{`{"app":"prism","version":"C","tiers":{"client":{}},"faults":[{"kind":"client-flap","node":1,"count":100000000,"period_ms":1}]}`,
+			ErrCodeInvalidRequest, "faults", "exceeds the cap"},
 	} {
 		resp, out := postJSON(t, ts, "/v1/simulate", tc.body)
 		if resp.StatusCode != 400 {

@@ -2,10 +2,10 @@ package sim
 
 import "fmt"
 
-// Barrier synchronizes a fixed group of n parties: each caller of Await
-// (process-shaped) or AwaitFn (callback-shaped) blocks until all n have
-// arrived, then all are released at the same virtual instant. The barrier
-// is cyclic and may be reused for successive phases.
+// Barrier synchronizes a fixed group of n processes: each caller of Await
+// blocks until all n have arrived, then all are released at the same
+// virtual instant. The barrier is cyclic and may be reused for successive
+// phases.
 type Barrier struct {
 	k       *Kernel
 	name    string
@@ -18,11 +18,9 @@ type Barrier struct {
 	arriveAt  map[*Proc]Time
 }
 
-// barWaiter is one party waiting at the barrier: a parked process or a
-// release callback, with its arrival time.
+// barWaiter is one process parked at the barrier, with its arrival time.
 type barWaiter struct {
 	p  *Proc
-	fn func()
 	at Time
 }
 
@@ -36,9 +34,6 @@ func NewBarrier(k *Kernel, name string, n int) *Barrier {
 
 // Name returns the barrier's name.
 func (b *Barrier) Name() string { return b.name }
-
-// Party returns the number of processes the barrier synchronizes.
-func (b *Barrier) Party() int { return b.n }
 
 // Epochs returns how many times the barrier has completed.
 func (b *Barrier) Epochs() uint64 { return b.epochs }
@@ -62,35 +57,14 @@ func (b *Barrier) Await(p *Proc) {
 	delete(b.arriveAt, p)
 }
 
-// AwaitFn registers a callback-shaped party: fn runs when all n parties
-// have arrived. A non-final arrival is released through a same-instant
-// event, like a process wakeup; the final arrival's fn runs inline, like
-// the final Await caller continuing past the barrier. It is the fast-path
-// equivalent of a process that Awaits once — no goroutine round-trip.
-func (b *Barrier) AwaitFn(fn func()) {
-	if len(b.arrived)+1 < b.n {
-		b.arrived = append(b.arrived, barWaiter{fn: fn, at: b.k.now})
-		return
-	}
-	b.release()
-	if fn != nil {
-		fn()
-	}
-}
-
 // release completes the epoch: every earlier arrival is woken at the
 // current instant and charged its skew time.
 func (b *Barrier) release() {
 	b.epochs++
 	for i, w := range b.arrived {
 		b.waitTotal += b.k.now - w.at
-		if w.p != nil {
-			delete(b.arriveAt, w.p)
-			b.k.Resume(w.p)
-		} else {
-			fn := w.fn
-			b.k.schedule(b.k.now, nil, fn)
-		}
+		delete(b.arriveAt, w.p)
+		b.k.Resume(w.p)
 		b.arrived[i] = barWaiter{}
 	}
 	b.arrived = b.arrived[:0]

@@ -3,39 +3,37 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
 
-// TestCancelAbortsRun installs a context-backed cancellation check,
-// cancels after a few dispatched batches, and requires Run to return the
-// context error with every process unwound (their defers run, no live
-// processes left).
+// TestCancelAbortsRun installs a context-backed cancellation check and
+// cancels after the ticker's tenth wait, then requires Run to return the
+// context error with every process unwound: the one suspended with no
+// wake pending and the one parked on a pending timed wait both run their
+// defers, in spawn order, and no live process is left.
 func TestCancelAbortsRun(t *testing.T) {
 	k := NewKernel()
 	ctx, cancel := context.WithCancel(context.Background())
 	k.SetCancel(ctx.Err)
 
-	unwound := make([]string, 0, 3)
-	batches := 0
-	k.SetObserver(func(at Time, seq uint64) {
-		batches++
-		if batches == 10 {
-			cancel()
-		}
+	unwound := make([]string, 0, 2)
+	// Three processes: one suspended with no wake ever scheduled, one
+	// ticking forever on timed waits, one that finishes before the
+	// cancel.
+	k.Spawn("suspended", func(p *Proc) {
+		defer func() { unwound = append(unwound, "suspended") }()
+		p.Suspend("never woken")
 	})
-	// Three processes: one ticking forever, one blocked on a mailbox that
-	// never fills, one that finishes before the cancel.
-	mb := NewMailbox(k, "never")
 	k.Spawn("ticker", func(p *Proc) {
 		defer func() { unwound = append(unwound, "ticker") }()
-		for {
+		for waits := 1; ; waits++ {
 			p.Wait(time.Millisecond)
+			if waits == 10 {
+				cancel()
+			}
 		}
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		defer func() { unwound = append(unwound, "receiver") }()
-		mb.Recv(p)
 	})
 	k.Spawn("done-early", func(p *Proc) {
 		p.Wait(time.Microsecond)
@@ -48,8 +46,11 @@ func TestCancelAbortsRun(t *testing.T) {
 	if k.LiveProcs() != 0 {
 		t.Errorf("LiveProcs() = %d after abort, want 0", k.LiveProcs())
 	}
-	if len(unwound) != 2 {
-		t.Errorf("unwound defers = %v, want ticker and receiver", unwound)
+	if want := []string{"suspended", "ticker"}; fmt.Sprint(unwound) != fmt.Sprint(want) {
+		t.Errorf("unwound defers = %v, want %v (spawn order)", unwound, want)
+	}
+	if now := k.Now(); now != 10*time.Millisecond {
+		t.Errorf("aborted at t=%v, want 10ms (the batch after the tenth wait)", now)
 	}
 }
 

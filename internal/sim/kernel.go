@@ -5,9 +5,10 @@
 // queue. Simulated activities are written as ordinary Go functions running
 // in "processes" (goroutines under strict kernel handoff: exactly one
 // process executes at a time, so runs are bit-reproducible). Processes
-// block on virtual-time waits and on synchronization primitives (Resource,
-// Barrier, Mailbox); the kernel resumes them when the corresponding event
-// fires.
+// block on virtual-time waits (Proc.Wait), on the two synchronization
+// primitives (Resource, Barrier), and on Proc.Suspend, which an event
+// callback ends with Kernel.Resume or Kernel.Wake; the kernel resumes them
+// when the corresponding event fires.
 //
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner
@@ -17,10 +18,10 @@
 // Two dispatch paths exist. Process resumption goes through the goroutine
 // handoff protocol (two channel rendezvous, i.e. four scheduler context
 // switches per event). Callback events run inline in the kernel loop with
-// no goroutine round-trip; the synchronization primitives expose
-// callback-shaped variants (Resource.UseFn, Mailbox.RecvFn,
-// Barrier.AwaitFn) so hot non-process-shaped work can take the fast path.
-// See docs/PERFORMANCE.md for the cost model.
+// no goroutine round-trip; Resource.UseFn is the callback-shaped twin of
+// Resource.Use, so hot non-process-shaped work (the PFS I/O-node service
+// path) can take the fast path. See docs/PERFORMANCE.md for the cost
+// model.
 package sim
 
 import (
@@ -70,12 +71,9 @@ type Kernel struct {
 	// reporting.
 	blocked map[*Proc]string
 
-	// observer, when non-nil, sees every dispatched event (SetObserver).
-	observer func(at Time, seq uint64)
-
 	// cancelCheck, when non-nil, is polled between dispatch batches. A
 	// non-nil return aborts the run: every live process is unwound
-	// deterministically and Run/RunUntil return the error. See SetCancel.
+	// deterministically and Run returns the error. See SetCancel.
 	cancelCheck func() error
 	// aborting is set while abort unwinds parked processes; park points
 	// observe it and panic with procAbort so process stacks (and their
@@ -177,8 +175,8 @@ func (k *Kernel) deadlockError() *DeadlockError {
 // SetCancel installs a cancellation check the run loop polls between
 // dispatch batches. The first non-nil error aborts the run: pending
 // events are dropped, every live process is unwound in spawn order (its
-// deferred functions run), and Run/RunUntil return the error. The canonical check wraps a
-// context.Context: k.SetCancel(ctx.Err). A nil check (the default)
+// deferred functions run), and Run returns the error. The canonical
+// check wraps a context.Context: k.SetCancel(ctx.Err). A nil check (the default)
 // disables polling; runs that never cancel are unaffected either way —
 // the check runs between batches, never between events of one instant,
 // so it cannot perturb event order.
@@ -250,22 +248,6 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunUntil processes events with timestamps <= deadline and then stops,
-// leaving later events queued. It returns the same deadlock diagnosis as
-// Run when the queue drains early.
-func (k *Kernel) RunUntil(deadline Time) error {
-	for k.queue.len() > 0 && k.queue.min().at <= deadline {
-		if err := k.checkCancel(); err != nil {
-			return k.abort(err)
-		}
-		k.runBatch(k.queue.min().at)
-	}
-	if k.queue.len() == 0 && k.live > 0 {
-		return k.deadlockError()
-	}
-	return nil
-}
-
 // runBatch advances the clock to at and dispatches, in sequence order,
 // every event already queued for that instant. Draining the instant in
 // one pass amortizes heap fix-ups: pops happen back to back while the
@@ -282,9 +264,6 @@ func (k *Kernel) runBatch(at Time) {
 	k.now = at
 	for i := range batch {
 		k.processed++
-		if k.observer != nil {
-			k.observer(batch[i].at, batch[i].seq)
-		}
 		if p := batch[i].proc; p != nil {
 			k.dispatch(p)
 		} else if fn := batch[i].fn; fn != nil {
@@ -310,12 +289,6 @@ func (k *Kernel) dispatch(p *Proc) {
 	delete(k.blocked, p)
 	p.resume <- struct{}{}
 	<-k.parked
-}
-
-// SetObserver installs a hook called for every dispatched event, in
-// dispatch order, with its (at, seq). A nil fn removes the hook.
-func (k *Kernel) SetObserver(fn func(at Time, seq uint64)) {
-	k.observer = fn
 }
 
 // Resume schedules a process parked with Proc.Suspend to continue at the

@@ -46,22 +46,6 @@ func TestSequentialWaitsAccumulate(t *testing.T) {
 	}
 }
 
-func TestWaitUntil(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	k.Spawn("w", func(p *Proc) {
-		p.WaitUntil(5 * time.Second)
-		p.WaitUntil(2 * time.Second) // in the past: no-op wait
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 5*time.Second {
-		t.Fatalf("final time %v, want 5s", at)
-	}
-}
-
 func TestSameInstantEventsFIFO(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -156,29 +140,6 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 	if childAt != 3*time.Second {
 		t.Fatalf("child finished at %v, want 3s", childAt)
-	}
-}
-
-func TestRunUntilStopsEarly(t *testing.T) {
-	k := NewKernel()
-	var count int
-	k.Spawn("p", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Wait(time.Second)
-			count++
-		}
-	})
-	if err := k.RunUntil(4 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 {
-		t.Fatalf("count = %d after RunUntil(4s), want 4", count)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("count = %d after Run, want 10", count)
 	}
 }
 

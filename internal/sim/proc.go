@@ -38,16 +38,6 @@ func (p *Proc) Wait(d Time) {
 	p.park("")
 }
 
-// WaitUntil suspends the process until absolute virtual time t. If t is
-// not after Now, it behaves like Wait(0).
-func (p *Proc) WaitUntil(t Time) {
-	if t < p.k.now {
-		t = p.k.now
-	}
-	p.k.schedule(t, p, nil)
-	p.park("")
-}
-
 // Suspend parks the process until an event callback resumes it via
 // Kernel.Wake or Kernel.Resume. reason appears in deadlock diagnostics
 // should the resume never arrive.

@@ -75,32 +75,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "lock", 1)
-	var got []bool
-	k.Spawn("a", func(p *Proc) {
-		if !r.TryAcquire(p) {
-			t.Error("first TryAcquire failed")
-		}
-		p.Wait(2 * time.Second)
-		r.Release(p)
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Wait(time.Second)
-		got = append(got, r.TryAcquire(p)) // busy: false
-		p.Wait(2 * time.Second)
-		got = append(got, r.TryAcquire(p)) // free at t=3: true
-		r.Release(p)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] || !got[1] {
-		t.Fatalf("TryAcquire results = %v, want [false true]", got)
-	}
-}
-
 func TestResourceStats(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "svc", 1)
@@ -212,79 +186,5 @@ func TestBarrierOfOne(t *testing.T) {
 	}
 	if !passed {
 		t.Fatal("single-party barrier blocked")
-	}
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var got []int
-	k.Spawn("sender", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Wait(time.Millisecond)
-			m.Send(i)
-		}
-	})
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, m.Recv(p).(int))
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("received %v, want ascending", got)
-		}
-	}
-	if m.Sent() != 5 || m.Received() != 5 {
-		t.Fatalf("sent/received = %d/%d", m.Sent(), m.Received())
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	k.Spawn("p", func(p *Proc) {
-		if _, ok := m.TryRecv(); ok {
-			t.Error("TryRecv on empty mailbox returned ok")
-		}
-		m.Send(42)
-		v, ok := m.TryRecv()
-		if !ok || v.(int) != 42 {
-			t.Errorf("TryRecv = %v %v", v, ok)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMailboxMultipleReceiversFIFO(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var by []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("recv", func(p *Proc) {
-			p.Wait(Time(i) * time.Millisecond) // receivers queue in index order
-			m.Recv(p)
-			by = append(by, i)
-		})
-	}
-	k.Spawn("sender", func(p *Proc) {
-		p.Wait(10 * time.Millisecond)
-		for i := 0; i < 3; i++ {
-			m.Send(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range by {
-		if v != i {
-			t.Fatalf("delivery order %v, want FIFO by receiver arrival", by)
-		}
 	}
 }

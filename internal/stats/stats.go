@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics used by the analysis
-// layer: summaries, percentiles, empirical CDFs (optionally weighted, for
-// the paper's "fraction of data transferred" curves), logarithmic
-// histograms for request sizes, simple linear regression (as used by
-// Pasquale & Polyzos's related studies), and burstiness measures.
+// layer: percentiles, empirical CDFs (optionally weighted, for the
+// paper's "fraction of data transferred" curves), simple linear
+// regression (as used by Pasquale & Polyzos's related studies), and
+// burstiness measures.
 package stats
 
 import (
@@ -10,45 +10,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Std    float64 // population standard deviation
-	Median float64
-}
-
-// Describe computes a Summary. An empty sample yields the zero Summary.
-func Describe(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Percentile(sorted, 50)
-	return s
-}
 
 // Percentile returns the p-th percentile (0..100) of an ascending-sorted
 // sample by linear interpolation. It panics on an empty sample or an
@@ -77,11 +38,23 @@ func Percentile(sorted []float64, p float64) float64 {
 // burstiness indicator for inter-arrival series. Zero-mean samples
 // return 0.
 func CV(xs []float64) float64 {
-	s := Describe(xs)
-	if s.Mean == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
-	return s.Std / s.Mean
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean := sum / float64(len(xs))
+	if mean == 0 {
+		return 0
+	}
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/float64(len(xs))) / mean
 }
 
 // Point is one step of an empirical CDF: cumulative probability F at
@@ -180,50 +153,6 @@ func (c CDF) Quantile(q float64) float64 {
 	}
 	return c.points[len(c.points)-1].X
 }
-
-// LogHistogram counts values into power-of-two buckets — the natural
-// shape for request-size distributions spanning bytes to megabytes.
-type LogHistogram struct {
-	Counts []int64 // Counts[i] covers [2^i, 2^(i+1))
-	Under  int64   // values < 1
-}
-
-// NewLogHistogram buckets the values.
-func NewLogHistogram(values []int64) *LogHistogram {
-	h := &LogHistogram{}
-	for _, v := range values {
-		h.Add(v)
-	}
-	return h
-}
-
-// Add folds one value into the histogram.
-func (h *LogHistogram) Add(v int64) {
-	if v < 1 {
-		h.Under++
-		return
-	}
-	b := 0
-	for vv := v; vv > 1; vv >>= 1 {
-		b++
-	}
-	for len(h.Counts) <= b {
-		h.Counts = append(h.Counts, 0)
-	}
-	h.Counts[b]++
-}
-
-// Total returns the number of bucketed values, including Under.
-func (h *LogHistogram) Total() int64 {
-	n := h.Under
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BucketLo returns the inclusive lower bound of bucket i.
-func (h *LogHistogram) BucketLo(i int) int64 { return 1 << uint(i) }
 
 // Linear holds the result of a least-squares fit y = Slope*x + Intercept.
 type Linear struct {

@@ -9,32 +9,6 @@ import (
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestDescribe(t *testing.T) {
-	s := Describe([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("N/Min/Max = %d/%g/%g", s.N, s.Min, s.Max)
-	}
-	if !near(s.Mean, 5) {
-		t.Fatalf("Mean = %g", s.Mean)
-	}
-	if !near(s.Std, 2) {
-		t.Fatalf("Std = %g", s.Std)
-	}
-	if !near(s.Median, 4.5) {
-		t.Fatalf("Median = %g", s.Median)
-	}
-}
-
-func TestDescribeEmptyAndSingle(t *testing.T) {
-	if s := Describe(nil); s.N != 0 {
-		t.Fatalf("empty: %+v", s)
-	}
-	s := Describe([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.Std != 0 || s.Median != 3 {
-		t.Fatalf("single: %+v", s)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := map[float64]float64{0: 1, 25: 2, 50: 3, 75: 4, 100: 5, 90: 4.6}
@@ -201,31 +175,6 @@ func TestCDFAtMatchesDirectCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram([]int64{0, 1, 2, 3, 4, 1024, 1 << 20})
-	if h.Under != 1 {
-		t.Fatalf("Under = %d", h.Under)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 1 { // [1,2)
-		t.Fatalf("bucket 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 2 { // [2,4): 2,3
-		t.Fatalf("bucket 1 = %d", h.Counts[1])
-	}
-	if h.Counts[2] != 1 { // [4,8)
-		t.Fatalf("bucket 2 = %d", h.Counts[2])
-	}
-	if h.Counts[10] != 1 || h.Counts[20] != 1 {
-		t.Fatalf("high buckets: %v", h.Counts)
-	}
-	if h.BucketLo(10) != 1024 {
-		t.Fatalf("BucketLo(10) = %d", h.BucketLo(10))
 	}
 }
 
