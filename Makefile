@@ -18,7 +18,7 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the concurrent pieces: the parallel suite runner (several
-# kernels run at once, one per goroutine), the kernel's goroutine
+# kernels run at once, one per goroutine), the kernel's coroutine
 # handoff and cancellation, and the iosimd daemon (fair-share
 # admission, sweep fan-out, flight coalescing, warm-start cache).
 vet-race:

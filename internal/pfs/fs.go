@@ -365,10 +365,9 @@ func (fs *FileSystem) drainLog(batch []cache.LogRecord, done func()) {
 	remaining := 0
 	for _, r := range batch {
 		f := fs.lookup(r.Stream, true)
-		lists, ios := fs.chunksByIONode(f, r.Off, r.Size)
-		for _, io := range ios {
+		for _, leg := range fs.chunksByIONode(f, r.Off, r.Size) {
 			remaining++
-			fs.serveIONodeFn(r.Node, f, io, lists[io], true, func() {
+			fs.serveIONodeFn(r.Node, f, leg.io, leg.chunks, true, func() {
 				remaining--
 				if remaining == 0 {
 					done()
@@ -436,38 +435,42 @@ type chunk struct {
 	off, size int64
 }
 
+// ioChunks is one I/O node's share of a request.
+type ioChunks struct {
+	io     int
+	chunks []chunk
+}
+
 // chunksByIONode splits [off, off+size) into per-I/O-node chunk lists,
-// returned as a slice indexed by I/O node (nil entries are uninvolved)
-// together with the involved I/O nodes in ascending order. Chunks on the
-// same I/O node are coalesced per stripe unit but kept in ascending
-// offset order (they are contiguous on the array only if the request
-// spans a full stripe cycle).
-func (fs *FileSystem) chunksByIONode(f *file, off, size int64) ([][]chunk, []int) {
-	lists := make([][]chunk, len(fs.ios))
-	involved := 0
-	u := fs.cfg.StripeUnit
-	for size > 0 {
-		stripe := off / u
-		io := (f.base + int(stripe%int64(len(fs.ios)))) % len(fs.ios)
-		inStripe := off % u
-		n := u - inStripe
-		if n > size {
-			n = size
-		}
-		if lists[io] == nil {
-			involved++
-		}
-		lists[io] = append(lists[io], chunk{off: off, size: n})
-		off += n
-		size -= n
+// one entry per involved I/O node in ascending I/O-node order. Each list
+// holds one chunk per stripe unit, in ascending offset order (chunks on
+// one I/O node are contiguous on the array only if the request spans a
+// full stripe cycle). All lists share one backing array, so a split
+// costs two allocations.
+func (fs *FileSystem) chunksByIONode(f *file, off, size int64) []ioChunks {
+	if size <= 0 {
+		return nil
 	}
-	ios := make([]int, 0, involved)
-	for io, l := range lists {
-		if l != nil {
-			ios = append(ios, io)
+	u, nio := fs.cfg.StripeUnit, int64(len(fs.ios))
+	end := off + size
+	first, last := off/u, (end-1)/u
+	flat := make([]chunk, last-first+1)
+	legs := make([]ioChunks, 0, min(last-first+1, nio))
+	i := 0
+	for io := int64(0); io < nio; io++ {
+		// Stripe s lives on I/O node (base+s) mod nio; start from the
+		// first such stripe at or after first.
+		j := i
+		for s := first + (io-int64(f.base)-first%nio+2*nio)%nio; s <= last; s += nio {
+			lo, hi := max(s*u, off), min((s+1)*u, end)
+			flat[i] = chunk{off: lo, size: hi - lo}
+			i++
+		}
+		if i > j {
+			legs = append(legs, ioChunks{io: int(io), chunks: flat[j:i]})
 		}
 	}
-	return lists, ios
+	return legs
 }
 
 // xfer performs the data movement of one read or write request: client
@@ -488,31 +491,31 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 		fs.serveIONode(p, node, f, io, []chunk{{off: off, size: size}}, write)
 		return
 	}
-	lists, ios := fs.chunksByIONode(f, off, size)
-	if len(ios) == 1 {
-		fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
+	legs := fs.chunksByIONode(f, off, size)
+	if len(legs) == 1 {
+		fs.serveIONode(p, node, f, legs[0].io, legs[0].chunks, write)
 		return
 	}
 	// Fan out one callback chain per additional I/O node; the request
-	// completes when all involved nodes have served their chunks. Each
-	// fan-out completion counts pending down and, if the client is
-	// already parked on the join, resumes it as a new event; the client
-	// re-parks while legs are still out.
-	pending := len(ios) - 1
-	waiting := false
+	// completes when all involved nodes have served their chunks. The
+	// join state is one word: twice the fan-out legs still out, plus 1
+	// while the client is parked on the join. Each leg's completion
+	// counts down and, if the client is parked, resumes it as a new
+	// event; the client re-parks while legs are still out.
+	state := 2 * (len(legs) - 1)
 	join := func() {
-		pending--
-		if waiting {
-			waiting = false
+		state -= 2
+		if state&1 != 0 {
+			state--
 			p.Kernel().Resume(p)
 		}
 	}
-	for _, io := range ios[1:] {
-		fs.serveIONodeFn(node, f, io, lists[io], write, join)
+	for _, leg := range legs[1:] {
+		fs.serveIONodeFn(node, f, leg.io, leg.chunks, write, join)
 	}
-	fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
-	for pending > 0 {
-		waiting = true
+	fs.serveIONode(p, node, f, legs[0].io, legs[0].chunks, write)
+	for state > 0 {
+		state++
 		p.Suspend("xfer-join")
 	}
 }
@@ -548,8 +551,8 @@ func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks
 
 // serveIONodeFn is the callback-shaped variant of serveIONode used by the
 // striped-transfer fan-out: the same event sequence with no helper
-// goroutine, so fan-out requests cost zero goroutine spawns and channel
-// handoffs. The initial zero-delay hop mirrors the start event a spawned
+// process, so fan-out requests cost no process spawns and no coroutine
+// switches. The initial zero-delay hop mirrors the start event a spawned
 // helper process would get, and disk service is priced at grant time
 // inside UseFn; then runs when the hold is released.
 func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, write bool, then func()) {

@@ -136,19 +136,27 @@ func TestChunksByIONodeCoverAndAlign(t *testing.T) {
 		{u / 2, 17 * u}, // spans the full I/O node cycle
 	}
 	for _, tc := range cases {
-		lists, ios := r.fs.chunksByIONode(f, tc.off, tc.size)
+		legs := r.fs.chunksByIONode(f, tc.off, tc.size)
 		var total int64
 		next := tc.off
 		// Collect all chunks and verify they tile [off, off+size).
 		all := map[int64]int64{}
-		for _, io := range ios {
-			if io < 0 || io >= r.fs.cfg.IONodes {
-				t.Fatalf("chunk on invalid io node %d", io)
+		for i, leg := range legs {
+			if leg.io < 0 || leg.io >= r.fs.cfg.IONodes {
+				t.Fatalf("chunk on invalid io node %d", leg.io)
 			}
-			chunks := lists[io]
-			for _, c := range chunks {
+			if i > 0 && leg.io <= legs[i-1].io {
+				t.Fatalf("I/O nodes out of order: %d after %d", leg.io, legs[i-1].io)
+			}
+			for j, c := range leg.chunks {
 				if c.size <= 0 || c.size > u {
 					t.Fatalf("chunk size %d out of range", c.size)
+				}
+				if io := (f.base + int(c.off/u)%r.fs.cfg.IONodes) % r.fs.cfg.IONodes; io != leg.io {
+					t.Fatalf("chunk at %d listed under I/O node %d, lives on %d", c.off, leg.io, io)
+				}
+				if j > 0 && c.off <= leg.chunks[j-1].off {
+					t.Fatalf("I/O node %d chunks out of offset order", leg.io)
 				}
 				all[c.off] = c.size
 				total += c.size
@@ -175,9 +183,8 @@ func TestStripeMappingRoundRobin(t *testing.T) {
 	// 16 consecutive stripes must land on 16 distinct I/O nodes.
 	seen := map[int]bool{}
 	for s := int64(0); s < 16; s++ {
-		_, ios := r.fs.chunksByIONode(f, s*u, 1)
-		for _, io := range ios {
-			seen[io] = true
+		for _, leg := range r.fs.chunksByIONode(f, s*u, 1) {
+			seen[leg.io] = true
 		}
 	}
 	if len(seen) != 16 {

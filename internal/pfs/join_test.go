@@ -35,17 +35,17 @@ func TestStripedJoin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t)
 			f, size := stripedRead(r)
-			_, ios := r.fs.chunksByIONode(f, 0, size)
-			if len(ios) != 4 {
-				t.Fatalf("request spans %d I/O nodes, want 4", len(ios))
+			legs := r.fs.chunksByIONode(f, 0, size)
+			if len(legs) != 4 {
+				t.Fatalf("request spans %d I/O nodes, want 4", len(legs))
 			}
 			slowest := 0
-			for leg, io := range ios {
-				if tc.holds[leg] > tc.holds[slowest] {
-					slowest = leg
+			for i, leg := range legs {
+				if tc.holds[i] > tc.holds[slowest] {
+					slowest = i
 				}
-				if d := tc.holds[leg]; d > 0 {
-					r.fs.ios[io].res.UseFn(func() sim.Time { return d }, nil)
+				if d := tc.holds[i]; d > 0 {
+					r.fs.ios[leg.io].res.UseFn(func() sim.Time { return d }, nil)
 				}
 			}
 			var done sim.Time
@@ -56,7 +56,7 @@ func TestStripedJoin(t *testing.T) {
 			r.run(t)
 			// The slowest leg queued behind its holder, so its I/O node
 			// was held without a gap from t=0 until that leg released it.
-			want := r.fs.ios[ios[slowest]].res.Stats().TotalHold
+			want := r.fs.ios[legs[slowest].io].res.Stats().TotalHold
 			if want <= tc.holds[slowest] {
 				t.Fatalf("slowest leg's node held %v, want more than its %v holder", want, tc.holds[slowest])
 			}
@@ -68,14 +68,16 @@ func TestStripedJoin(t *testing.T) {
 }
 
 // TestStripedJoinAllocs bounds the allocations of one uncontended
-// four-node striped read, client process included. The join is a
-// counter and a flag captured by one shared completion callback; a
-// join that allocates a queue, a map or a closure per leg exceeds the
-// bound.
+// four-node striped read, client process included. The join is one
+// state word captured by one shared completion callback; a join that
+// allocates a queue, a map or a closure per leg exceeds the bound.
 //
-// Measured with Go 1.24 at 29–31 allocations; the former join (a
-// message queue with a per-receiver map and a closure per leg) took
-// 37–38.
+// Measured with Go 1.24 at 30 allocations with each process a
+// coroutine, whose spawn costs about 8 more than a goroutine did; the
+// per-node chunk split (2) and the recycled UseFn hold records (0 per
+// grant once warm) win those back. The former join (a message queue
+// with a per-receiver map and a closure per leg) took 37–38 with
+// goroutine processes.
 func TestStripedJoinAllocs(t *testing.T) {
 	const maxJoinAllocs = 34
 	r := newRig(t)

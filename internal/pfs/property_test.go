@@ -115,11 +115,10 @@ func TestPropertyStripingConservation(t *testing.T) {
 	prop := func(offRaw uint32, sizeRaw uint32) bool {
 		off := int64(offRaw)
 		size := int64(sizeRaw) + 1
-		lists, _ := r.fs.chunksByIONode(f, off, size)
 		covered := map[int64]int64{}
 		var total int64
-		for _, chunks := range lists {
-			for _, c := range chunks {
+		for _, leg := range r.fs.chunksByIONode(f, off, size) {
+			for _, c := range leg.chunks {
 				if c.size <= 0 || c.size > u {
 					return false
 				}
@@ -156,11 +155,11 @@ func TestPropertyStripeToIONodeStable(t *testing.T) {
 	f := r.fs.lookup("f", false)
 	u := r.fs.cfg.StripeUnit
 	ioOf := func(off int64) int {
-		_, ios := r.fs.chunksByIONode(f, off, 1)
-		if len(ios) == 0 {
+		legs := r.fs.chunksByIONode(f, off, 1)
+		if len(legs) == 0 {
 			return -1
 		}
-		return ios[0]
+		return legs[0].io
 	}
 	prop := func(offRaw uint32) bool {
 		off := int64(offRaw)

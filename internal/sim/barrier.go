@@ -9,6 +9,7 @@ import "fmt"
 type Barrier struct {
 	k       *Kernel
 	name    string
+	park    string // Await's park reason, built once
 	n       int
 	arrived []barWaiter
 	epochs  uint64
@@ -29,7 +30,7 @@ func NewBarrier(k *Kernel, name string, n int) *Barrier {
 	if n < 1 {
 		panic("sim: barrier party must be >= 1")
 	}
-	return &Barrier{k: k, name: name, n: n, arriveAt: make(map[*Proc]Time)}
+	return &Barrier{k: k, name: name, park: "barrier " + name, n: n, arriveAt: make(map[*Proc]Time)}
 }
 
 // Name returns the barrier's name.
@@ -50,7 +51,7 @@ func (b *Barrier) Await(p *Proc) {
 	b.arriveAt[p] = b.k.now
 	if len(b.arrived)+1 < b.n {
 		b.arrived = append(b.arrived, barWaiter{p: p, at: b.k.now})
-		p.park("barrier " + b.name)
+		p.park(b.park)
 		return
 	}
 	b.release()

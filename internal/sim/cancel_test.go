@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -90,5 +91,53 @@ func TestNoCancelCheckUnchanged(t *testing.T) {
 	}
 	if n != 100 {
 		t.Errorf("worker ran %d iterations, want 100", n)
+	}
+}
+
+// TestFailedRunsReleaseGoroutines requires the goroutine count to return
+// to its baseline after deadlocked and after cancelled runs: Run unwinds
+// every blocked process instead of leaving each one holding a goroutine,
+// which in a long-running service would leak per failed request.
+func TestFailedRunsReleaseGoroutines(t *testing.T) {
+	const runs, procs = 10, 5
+	base := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		k := NewKernel()
+		for j := 0; j < procs; j++ {
+			k.Spawn("stuck", func(p *Proc) { p.Suspend("never woken") })
+		}
+		var dl *DeadlockError
+		if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != procs {
+			t.Fatalf("Run() = %v, want a deadlock with %d blocked", err, procs)
+		}
+		if k.LiveProcs() != 0 {
+			t.Fatalf("LiveProcs() = %d after deadlock, want 0", k.LiveProcs())
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after %d deadlocked runs, baseline %d", n, runs, base)
+	}
+	cancelledRun := func() error {
+		k := NewKernel()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		k.SetCancel(ctx.Err)
+		for j := 0; j < procs; j++ {
+			k.Spawn("ticker", func(p *Proc) {
+				for {
+					p.Wait(time.Millisecond)
+					cancel()
+				}
+			})
+		}
+		return k.Run()
+	}
+	for i := 0; i < runs; i++ {
+		if err := cancelledRun(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run() = %v, want context.Canceled", err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after %d cancelled runs, baseline %d", n, runs, base)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -119,5 +120,69 @@ func TestUseFnPricesHoldAtGrantTime(t *testing.T) {
 	}
 	if pricedAt[0] != 0 || pricedAt[1] != 3*Time(time.Second) {
 		t.Errorf("priced at %v, want [0s 3s]", pricedAt)
+	}
+}
+
+// TestWakeNestsLikeProcessUse pins Kernel.Wake's contract: a process
+// that hands its hold to UseFn, suspends, and is woken from the release
+// callback continues at the same (at, seq) position as a process that
+// acquires, waits and releases itself. Four processes contend for one
+// slot and log their grants and completions; each completion queues a
+// same-instant marker event, and a timer chain logs at the same
+// instants. A continuation queued as a new event instead of nested
+// would log its completion after the next holder's grant. The
+// interleaving, the clock and the event count must all match.
+func TestWakeNestsLikeProcessUse(t *testing.T) {
+	const n = 4
+	hold := time.Second
+
+	run := func(use func(k *Kernel, r *Resource, p *Proc, granted func())) ([]string, uint64) {
+		k := NewKernel()
+		r := NewResource(k, "srv", 1)
+		var log []string
+		logf := func(format string, args ...any) {
+			log = append(log, fmt.Sprintf("%v ", k.Now())+fmt.Sprintf(format, args...))
+		}
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("p%d", i)
+			k.Spawn(name, func(p *Proc) {
+				use(k, r, p, func() { logf("%s granted", name) })
+				logf("%s done", name)
+				k.After(0, func() { logf("%s marker", name) })
+			})
+		}
+		ticks := 0
+		var tick func()
+		tick = func() {
+			logf("tick")
+			if ticks++; ticks < n {
+				k.After(hold, tick)
+			}
+		}
+		k.After(hold, tick)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, k.EventsProcessed()
+	}
+
+	useLog, useEvents := run(func(_ *Kernel, r *Resource, p *Proc, granted func()) {
+		r.Acquire(p)
+		granted()
+		p.Wait(hold)
+		r.Release(p)
+	})
+	wakeLog, wakeEvents := run(func(k *Kernel, r *Resource, p *Proc, granted func()) {
+		r.UseFn(func() Time { granted(); return hold }, func() { k.Wake(p) })
+		p.Suspend("use")
+	})
+	if len(useLog) != 4*n {
+		t.Fatalf("process run logged %d entries, want %d: %v", len(useLog), 4*n, useLog)
+	}
+	if fmt.Sprint(wakeLog) != fmt.Sprint(useLog) {
+		t.Errorf("interleavings differ:\n  Wake: %v\n  Use:  %v", wakeLog, useLog)
+	}
+	if wakeEvents != useEvents {
+		t.Errorf("events processed: Wake %d, Use %d", wakeEvents, useEvents)
 	}
 }

@@ -3,29 +3,28 @@
 //
 // The kernel advances a virtual clock by processing a time-ordered event
 // queue. Simulated activities are written as ordinary Go functions running
-// in "processes" (goroutines under strict kernel handoff: exactly one
-// process executes at a time, so runs are bit-reproducible). Processes
-// block on virtual-time waits (Proc.Wait), on the two synchronization
-// primitives (Resource, Barrier), and on Proc.Suspend, which an event
-// callback ends with Kernel.Resume or Kernel.Wake; the kernel resumes them
-// when the corresponding event fires.
+// in "processes": coroutines (iter.Pull) that the kernel resumes on the
+// goroutine that called Run, so exactly one process executes at a time
+// and runs are bit-reproducible. Processes block on virtual-time waits
+// (Proc.Wait), on the two synchronization primitives (Resource, Barrier),
+// and on Proc.Suspend, which an event callback ends with Kernel.Resume or
+// Kernel.Wake; the kernel resumes them when the corresponding event fires.
 //
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner
-// handoff protocol — makes the simulation fully deterministic regardless
-// of Go's goroutine scheduling.
+// handoff — makes the simulation fully deterministic.
 //
-// Two dispatch paths exist. Process resumption goes through the goroutine
-// handoff protocol (two channel rendezvous, i.e. four scheduler context
-// switches per event). Callback events run inline in the kernel loop with
-// no goroutine round-trip; Resource.UseFn is the callback-shaped twin of
-// Resource.Use, so hot non-process-shaped work (the PFS I/O-node service
-// path) can take the fast path. See docs/PERFORMANCE.md for the cost
-// model.
+// Two dispatch paths exist. Process resumption is a coroutine switch into
+// the process and another back when it parks. Callback events run inline
+// in the kernel loop with no switch at all; Resource.UseFn is the
+// callback-shaped twin of Resource.Use, so hot non-process-shaped work
+// (the PFS I/O-node service path) can take the fast path. See
+// docs/PERFORMANCE.md for the cost model.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -54,39 +53,31 @@ type event struct {
 //
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	parked chan struct{} // handoff: signaled when the running process yields
+	now   Time
+	queue eventHeap
+	seq   uint64
 
 	procSeq   int
 	live      int // processes spawned and not yet finished
 	processed uint64
 
+	// procs holds spawned processes in spawn order, finished ones
+	// included until Spawn compacts them away. Deadlock diagnosis and
+	// unwinding scan it.
+	procs []*Proc
+
 	// batch is scratch for same-timestamp dispatch runs (see runBatch).
 	batch []event
-
-	// blocked tracks processes parked with no pending wake event
-	// (i.e. waiting on a synchronization primitive), for deadlock
-	// reporting.
-	blocked map[*Proc]string
 
 	// cancelCheck, when non-nil, is polled between dispatch batches. A
 	// non-nil return aborts the run: every live process is unwound
 	// deterministically and Run returns the error. See SetCancel.
 	cancelCheck func() error
-	// aborting is set while abort unwinds parked processes; park points
-	// observe it and panic with procAbort so process stacks (and their
-	// defers) unwind instead of blocking forever.
-	aborting bool
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	return &Kernel{
-		parked:  make(chan struct{}),
-		blocked: make(map[*Proc]string),
-	}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -121,31 +112,16 @@ func (k *Kernel) After(d Time, fn func()) {
 // running process or callback.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	k.procSeq++
-	p := &Proc{
-		k:      k,
-		name:   name,
-		id:     k.procSeq,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, id: k.procSeq}
+	p.start(body)
 	k.live++
 	k.schedule(k.now, p, nil)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procAbort); !ok {
-					panic(r) // real failure: re-raise with the stack intact
-				}
-			}
-			p.done = true
-			k.live--
-			k.parked <- struct{}{} // final yield back to the kernel
-		}()
-		<-p.resume // wait for first dispatch
-		if k.aborting {
-			return // cancelled before the body ever ran
-		}
-		body(p)
-	}()
+	// Drop finished processes instead of growing once at most half are
+	// live, so the slice stays proportional to the live set.
+	if len(k.procs) == cap(k.procs) && 2*k.live <= len(k.procs) {
+		k.procs = slices.DeleteFunc(k.procs, func(q *Proc) bool { return q.done })
+	}
+	k.procs = append(k.procs, p)
 	return p
 }
 
@@ -165,8 +141,10 @@ func (e *DeadlockError) Error() string {
 // processes still blocked.
 func (k *Kernel) deadlockError() *DeadlockError {
 	var blocked []string
-	for p, reason := range k.blocked {
-		blocked = append(blocked, p.name+": "+reason)
+	for _, p := range k.procs {
+		if !p.done && p.blocked != "" {
+			blocked = append(blocked, p.name+": "+p.blocked)
+		}
 	}
 	sort.Strings(blocked)
 	return &DeadlockError{Now: k.now, Blocked: blocked}
@@ -193,57 +171,57 @@ func (k *Kernel) checkCancel() error {
 }
 
 // procAbort is the sentinel a parked process panics with while the
-// kernel aborts; the spawn wrapper recovers it and retires the process.
+// kernel unwinds it; the process's exit recovers it.
 type procAbort struct{}
 
-// abort unwinds every live process after a cancelled run and returns
-// err. Parked processes are found in the blocked map (waiting on a
-// synchronization primitive) and the event queue (waiting on a pending
-// wake), then resumed one at a time in spawn order; the abort flag makes
-// each park point panic with procAbort, so the process's stack — and any
-// defers on it — unwinds and its goroutine exits before the next one is
-// woken. The kernel is not reusable afterwards.
-func (k *Kernel) abort(err error) error {
-	k.aborting = true
-	seen := make(map[*Proc]bool)
-	var parked []*Proc
-	add := func(p *Proc) {
-		if p != nil && !p.done && !seen[p] {
-			seen[p] = true
-			parked = append(parked, p)
+// unwind retires every live process in spawn order and drops pending
+// events. Stopping a process's coroutine makes its park panic with
+// procAbort, so its stack, and any defers on it, unwind before the next
+// process is stopped; a process that never started does not run its
+// body. Run unwinds after a cancellation or a deadlock, so no process is
+// left holding its goroutine. The kernel is not reusable afterwards.
+func (k *Kernel) unwind() {
+	// A defer that spawns starts a fresh procs slice; sweep it next.
+	for len(k.procs) > 0 {
+		procs := k.procs
+		k.procs = nil
+		for _, p := range procs {
+			if p.done {
+				continue
+			}
+			p.stop()
+			if !p.done { // stopped before its first dispatch
+				p.done = true
+				k.live--
+			}
 		}
-	}
-	for p := range k.blocked {
-		add(p)
-	}
-	for i := range k.queue.ev {
-		add(k.queue.ev[i].proc)
-	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
-	for _, p := range parked {
-		delete(k.blocked, p)
-		p.resume <- struct{}{}
-		<-k.parked
 	}
 	k.queue.ev = nil
 	k.trim()
-	return err
 }
 
 // Run processes events until the queue is empty. It returns a
 // *DeadlockError if any spawned process is still blocked when the queue
 // drains, the cancellation error if an installed SetCancel check fired,
-// and nil otherwise.
+// and nil otherwise. In both error cases every live process is unwound
+// (see unwind) before Run returns.
+//
+// A process body that panics with anything other than the kernel's own
+// unwind sentinel makes Run panic with the same value, on the caller's
+// goroutine.
 func (k *Kernel) Run() error {
 	for k.queue.len() > 0 {
 		if err := k.checkCancel(); err != nil {
-			return k.abort(err)
+			k.unwind()
+			return err
 		}
 		k.runBatch(k.queue.min().at)
 	}
 	k.trim()
 	if k.live > 0 {
-		return k.deadlockError()
+		err := k.deadlockError()
+		k.unwind()
+		return err
 	}
 	return nil
 }
@@ -284,11 +262,11 @@ func (k *Kernel) trim() {
 	}
 }
 
-// dispatch hands control to p and waits for it to yield back.
+// dispatch switches into p's coroutine and returns when p parks or
+// finishes.
 func (k *Kernel) dispatch(p *Proc) {
-	delete(k.blocked, p)
-	p.resume <- struct{}{}
-	<-k.parked
+	p.blocked = ""
+	p.next()
 }
 
 // Resume schedules a process parked with Proc.Suspend to continue at the

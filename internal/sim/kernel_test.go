@@ -295,3 +295,27 @@ func TestSuspendDeadlockDiagnosis(t *testing.T) {
 		t.Fatalf("blocked = %v", de.Blocked)
 	}
 }
+
+// TestBodyPanicReachesRunCaller checks that a process body panicking
+// with its own value makes Run panic with that same value on the
+// caller's goroutine, where it can be recovered.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	type failure struct{ msg string }
+	want := failure{"disk on fire"}
+	k := NewKernel()
+	k.Spawn("doomed", func(p *Proc) {
+		p.Wait(time.Second)
+		panic(want)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = k.Run()
+	}()
+	if got != want {
+		t.Fatalf("Run panicked with %v, want %v", got, want)
+	}
+	if k.Now() != time.Second {
+		t.Errorf("panicked at t=%v, want 1s", k.Now())
+	}
+}

@@ -2,15 +2,24 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine that runs under the kernel's
-// strict handoff protocol. Exactly one process runs at a time; all Proc
+// Proc is a simulated process: a coroutine the kernel resumes on the
+// goroutine that called Run. Exactly one process runs at a time; all Proc
 // methods must be called from the process's own body function.
 type Proc struct {
-	k      *Kernel
-	name   string
-	id     int
-	resume chan struct{}
-	done   bool
+	k    *Kernel
+	name string
+	id   int
+	done bool
+	// blocked says why the process is parked with no pending wake
+	// event (waiting on a synchronization primitive or a Suspend), for
+	// deadlock reporting; it is empty while running or on a timed wait.
+	blocked string
+
+	// The coroutine: the kernel resumes the process with next and
+	// unwinds it with stop; the process parks with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Name returns the name the process was spawned with.
@@ -52,20 +61,27 @@ func (p *Proc) Suspend(reason string) {
 // reason, if non-empty, records why the process is blocked (for deadlock
 // diagnostics); parks with a pending wake event pass "".
 //
-// While the kernel aborts a cancelled run, park panics with procAbort
-// instead of blocking: the resume that woke the process was the abort
-// sweep, and any park reached afterwards (e.g. from a deferred close
-// running during the unwind) must not re-enter the handoff protocol.
+// yield reports false once the kernel has stopped the coroutine to
+// unwind it (see Kernel.unwind); park then panics with procAbort so the
+// process's stack and its defers unwind. A park reached during that
+// unwind, e.g. from a deferred close, gets false at once and panics again.
 func (p *Proc) park(reason string) {
-	if p.k.aborting {
+	p.blocked = reason
+	if !p.yield(struct{}{}) {
 		panic(procAbort{})
 	}
-	if reason != "" {
-		p.k.blocked[p] = reason
-	}
-	p.k.parked <- struct{}{}
-	<-p.resume
-	if p.k.aborting {
-		panic(procAbort{})
+}
+
+// exit is deferred around the process body: it retires the process and
+// absorbs the procAbort panic of an unwinding park. Any other panic goes
+// on up through the coroutine and out of the kernel's next call, on the
+// goroutine that called Run.
+func (p *Proc) exit() {
+	p.done = true
+	p.k.live--
+	if r := recover(); r != nil {
+		if _, ok := r.(procAbort); !ok {
+			panic(r)
+		}
 	}
 }

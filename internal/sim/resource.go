@@ -10,23 +10,24 @@ import "fmt"
 // Acquirers come in two shapes, freely mixed in one FIFO queue:
 // process-shaped (Acquire/Release/Use, blocking a *Proc) and
 // callback-shaped (UseFn), which takes the kernel's inline dispatch fast
-// path — no goroutine round-trip per grant. Both shapes produce the same
+// path — no coroutine switch per grant. Both shapes produce the same
 // event sequence, virtual timing, and statistics.
 //
 // Resource collects utilization and queueing statistics for analysis.
 type Resource struct {
 	k        *Kernel
 	name     string
+	park     string // Acquire's park reason, built once
 	capacity int
 	busy     int
 	waiters  fifo[resWaiter]
+	free     []*fnHold // recycled callback-shaped hold records
 
 	// statistics
 	acquisitions uint64
 	totalQueue   Time // summed time spent waiting to acquire
 	totalHold    Time // summed time between acquire and release
 	maxQueueLen  int
-	enqueueAt    map[*Proc]Time
 	holdSince    map[*Proc]Time
 }
 
@@ -48,8 +49,8 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	return &Resource{
 		k:         k,
 		name:      name,
+		park:      "acquire " + name,
 		capacity:  capacity,
-		enqueueAt: make(map[*Proc]Time),
 		holdSince: make(map[*Proc]Time),
 	}
 }
@@ -63,13 +64,12 @@ func (r *Resource) QueueLen() int { return r.waiters.len() }
 // Acquire blocks p until a slot is free, FIFO with respect to other
 // acquirers.
 func (r *Resource) Acquire(p *Proc) {
-	r.enqueueAt[p] = r.k.now
 	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.grant(p)
+		r.grant(p, r.k.now)
 		return
 	}
-	r.enqueue(resWaiter{p: p})
-	p.park("acquire " + r.name)
+	r.enqueue(resWaiter{p: p, enq: r.k.now})
+	p.park(r.park)
 	// When we are resumed, release() has already granted us the slot.
 }
 
@@ -81,17 +81,14 @@ func (r *Resource) enqueue(w resWaiter) {
 	}
 }
 
-// grant marks p as a holder and records statistics.
-func (r *Resource) grant(p *Proc) {
-	r.busy++
-	r.acquisitions++
-	r.totalQueue += r.k.now - r.enqueueAt[p]
-	delete(r.enqueueAt, p)
+// grant marks p, which enqueued at enq, as a holder and records
+// statistics.
+func (r *Resource) grant(p *Proc, enq Time) {
+	r.grantFn(enq)
 	r.holdSince[p] = r.k.now
 }
 
-// grantFn records the grant of a slot to a callback-shaped holder that
-// enqueued at enq.
+// grantFn records the grant of a slot to a holder that enqueued at enq.
 func (r *Resource) grantFn(enq Time) {
 	r.busy++
 	r.acquisitions++
@@ -106,32 +103,65 @@ func (r *Resource) grantFn(enq Time) {
 //
 // UseFn is the fast-path equivalent of Spawn + Acquire + Wait + Release:
 // the whole interaction dispatches inline in the kernel loop with no
-// goroutine round-trips.
+// coroutine switches.
 func (r *Resource) UseFn(hold func() Time, then func()) {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
 		r.grantFn(r.k.now)
-		r.holdFn(hold, then)
+		r.newHold(hold, then).start()
 		return
 	}
 	r.enqueue(resWaiter{hold: hold, then: then, enq: r.k.now})
 }
 
-// holdFn runs at grant time for a callback-shaped holder: it prices the
-// hold and schedules the release and continuation.
-func (r *Resource) holdFn(hold func() Time, then func()) {
-	since := r.k.now
-	d := hold()
+// fnHold is one callback-shaped hold, from grant to release. Records
+// are recycled through Resource.free and at most capacity are in use at
+// once, so a resource in steady state grants without allocating.
+type fnHold struct {
+	r       *Resource
+	hold    func() Time
+	then    func()
+	since   Time
+	startFn func() // h.start, bound once per record
+	endFn   func() // h.end, bound once per record
+}
+
+// newHold takes a hold record from the free list, or allocates one.
+func (r *Resource) newHold(hold func() Time, then func()) *fnHold {
+	var h *fnHold
+	if n := len(r.free); n > 0 {
+		h = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		h = &fnHold{r: r}
+		h.startFn, h.endFn = h.start, h.end
+	}
+	h.hold, h.then = hold, then
+	return h
+}
+
+// start runs at grant time: it prices the hold and schedules the
+// release.
+func (h *fnHold) start() {
+	r := h.r
+	h.since = r.k.now
+	d := h.hold()
 	if d < 0 {
 		panic("sim: negative hold on " + r.name)
 	}
-	r.k.schedule(r.k.now+d, nil, func() {
-		r.totalHold += r.k.now - since
-		r.busy--
-		r.wakeNext()
-		if then != nil {
-			then()
-		}
-	})
+	r.k.schedule(r.k.now+d, nil, h.endFn)
+}
+
+// end releases the slot, recycles the record and runs the continuation.
+func (h *fnHold) end() {
+	r, then := h.r, h.then
+	r.totalHold += r.k.now - h.since
+	r.busy--
+	h.hold, h.then = nil, nil
+	r.free = append(r.free, h)
+	r.wakeNext()
+	if then != nil {
+		then()
+	}
 }
 
 // Release frees the slot held by p, waking the longest-waiting acquirer,
@@ -157,12 +187,12 @@ func (r *Resource) wakeNext() {
 	}
 	next := r.waiters.pop()
 	if next.p != nil {
-		r.grant(next.p)
+		r.grant(next.p, next.enq)
 		r.k.Resume(next.p)
 		return
 	}
 	r.grantFn(next.enq)
-	r.k.schedule(r.k.now, nil, func() { r.holdFn(next.hold, next.then) })
+	r.k.schedule(r.k.now, nil, r.newHold(next.hold, next.then).startFn)
 }
 
 // Use acquires the resource, holds it for d of virtual time, and releases
