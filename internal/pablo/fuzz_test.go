@@ -42,43 +42,3 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadTraceBinary does the same for the binary codec.
-func FuzzReadTraceBinary(f *testing.F) {
-	var seed bytes.Buffer
-	tr := NewTrace()
-	tr.Record(Event{Node: 1, Op: OpWrite, File: "f", Offset: 100, Size: 200,
-		Start: time.Second, Duration: time.Millisecond, Mode: "M_ASYNC"})
-	if err := WriteTraceBinary(&seed, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("PIOB"))
-	f.Add([]byte("PIOB\x01\x00\x00\x00"))
-	f.Fuzz(func(t *testing.T, input []byte) {
-		got, err := ReadTraceBinary(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		for _, ev := range got.Events() {
-			if ev.Op < 0 || ev.Op >= numOps {
-				t.Fatalf("parsed invalid op %d", ev.Op)
-			}
-			if ev.Offset < 0 || ev.Size < 0 || ev.Start < 0 || ev.Duration < 0 {
-				t.Fatalf("parsed negative field: %+v", ev)
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteTraceBinary(&buf, got); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		again, err := ReadTraceBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.Len() != got.Len() {
-			t.Fatalf("round-trip changed length: %d -> %d", got.Len(), again.Len())
-		}
-	})
-}

@@ -149,11 +149,16 @@ func (c *ResultCache) Get(key string) ([]byte, bool) {
 // Put stores body under key: write-through to the spill directory, then
 // into the in-memory LRU, evicting least-recently-used entries until
 // the byte budget holds. Oversized bodies (> budget) live on disk only.
+// A key already on disk is not spilled again: keys are content
+// addresses, so the artifact there holds the same bytes.
 func (c *ResultCache) Put(key string, body []byte) {
 	if !hashRe.MatchString(key) {
 		return
 	}
-	if c.spill(key, body) {
+	c.mu.Lock()
+	_, onDisk := c.spilled[key]
+	c.mu.Unlock()
+	if !onDisk && c.spill(key, body) {
 		c.mu.Lock()
 		c.spilled[key] = struct{}{}
 		c.observeLocked()
@@ -227,19 +232,35 @@ func (c *ResultCache) evictLocked() {
 	}
 }
 
-// spill writes an artifact to the spill directory (atomic rename so a
-// concurrent reader never sees a torn file). Reports whether the
-// artifact landed on disk; always false without a spill dir.
+// spill writes an artifact to the spill directory through a temp file
+// of its own, renamed into place, so a concurrent reader never sees a
+// torn file even while several Puts of one key race. The temp name does
+// not end in ".json", so warm start never indexes a leftover one.
+// Reports whether the artifact landed on disk; always false without a
+// spill dir.
 func (c *ResultCache) spill(key string, body []byte) bool {
 	if c.spillDir == "" {
 		return false
 	}
-	p := c.spillPath(key)
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
+	f, err := os.CreateTemp(c.spillDir, "spill-*.tmp")
+	if err != nil {
 		return false
 	}
-	return os.Rename(tmp, p) == nil
+	_, err = f.Write(body)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.spillPath(key))
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+		return false
+	}
+	return true
 }
 
 // spillPath maps a key to its on-disk artifact. Namespaced keys

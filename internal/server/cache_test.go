@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -142,5 +143,62 @@ func TestResultCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Bytes() > 1<<12 {
 		t.Errorf("budget exceeded: %d", c.Bytes())
+	}
+}
+
+// TestResultCacheSpillNeverTorn races the first Puts of fresh keys, each
+// key Put by every writer at once, against a Get loop. With a zero
+// memory budget every Get reads the spill file, so a Put that renamed a
+// half-written temp file into place would show up as a short body.
+func TestResultCacheSpillNeverTorn(t *testing.T) {
+	const writers, keys, size = 4, 24, 256 << 10
+	c, err := NewResultCache(0, t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("x"), size)
+	var done atomic.Bool
+	var gets, short atomic.Int64
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !done.Load() {
+				for k := 0; k < keys; k++ {
+					if got, ok := c.Get(key(k)); ok {
+						gets.Add(1)
+						if len(got) != size {
+							short.Add(1)
+						}
+					}
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				c.Put(key(k), body)
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	if n := short.Load(); n > 0 {
+		t.Fatalf("%d of %d spill reads returned a short body", n, gets.Load())
+	}
+	for k := 0; k < keys; k++ {
+		if got, ok := c.Get(key(k)); !ok || len(got) != size {
+			t.Fatalf("key %d after the race: ok=%v, %d bytes", k, ok, len(got))
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(c.spillDir, "*.tmp"))
+	if err != nil || len(names) != 0 {
+		t.Fatalf("temp files left behind: %v (%v)", names, err)
 	}
 }

@@ -1,8 +1,7 @@
 // Package stats provides the descriptive statistics used by the analysis
 // layer: percentiles, empirical CDFs (optionally weighted, for the
-// paper's "fraction of data transferred" curves), simple linear
-// regression (as used by Pasquale & Polyzos's related studies), and
-// burstiness measures.
+// paper's "fraction of data transferred" curves), and burstiness
+// measures.
 package stats
 
 import (
@@ -135,70 +134,4 @@ func (c CDF) At(x float64) float64 {
 		return 0
 	}
 	return c.points[i-1].F
-}
-
-// Quantile returns the smallest X with F(X) >= q (0 < q <= 1). It panics
-// on an empty CDF or out-of-range q.
-func (c CDF) Quantile(q float64) float64 {
-	if c.Empty() {
-		panic("stats: quantile of empty CDF")
-	}
-	if q <= 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %g out of range", q))
-	}
-	for _, p := range c.points {
-		if p.F >= q-1e-12 {
-			return p.X
-		}
-	}
-	return c.points[len(c.points)-1].X
-}
-
-// Linear holds the result of a least-squares fit y = Slope*x + Intercept.
-type Linear struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// LinearRegression fits a line through (x[i], y[i]). It panics if the
-// lengths differ or fewer than two points are given; a vertical-variance-
-// free y yields R2 = 1 on an exact fit and 0 otherwise.
-func LinearRegression(x, y []float64) Linear {
-	if len(x) != len(y) {
-		panic("stats: regression length mismatch")
-	}
-	if len(x) < 2 {
-		panic("stats: regression needs at least two points")
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	var fit Linear
-	if sxx == 0 {
-		// Vertical line: undefined slope; report flat fit.
-		fit.Slope = 0
-		fit.Intercept = my
-	} else {
-		fit.Slope = sxy / sxx
-		fit.Intercept = my - fit.Slope*mx
-	}
-	if syy == 0 {
-		fit.R2 = 1
-	} else {
-		ssRes := syy - fit.Slope*sxy
-		fit.R2 = 1 - ssRes/syy
-	}
-	return fit
 }
